@@ -6,9 +6,10 @@ Every benchmark regenerates one table or figure of the paper on the
 representative kernel with pytest-benchmark.
 
 The engine perf smokes additionally record their measured simulation
-rates into ``BENCH_engine.json`` at the repo root — the machine-read
-perf trajectory (scenario -> measured req/s + asserted floor) that CI
-uploads as a build artifact.
+rates into ``benchmarks/results/BENCH_engine.json`` (scenario ->
+measured req/s + asserted floor), which CI uploads as a build artifact.
+Like everything under ``benchmarks/results/`` it is untracked: a test
+run never rewrites a file under version control.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_engine.json"
+BENCH_JSON = RESULTS_DIR / "BENCH_engine.json"
 
 try:
     import fcntl
@@ -69,7 +70,8 @@ def save_text(results_dir):
 
 @pytest.fixture(scope="session")
 def record_bench():
-    """Accumulate engine-floor measurements; flush to BENCH_engine.json.
+    """Accumulate engine-floor measurements; flush to
+    ``benchmarks/results/BENCH_engine.json``.
 
     Scenarios merge into whatever the file already holds, so a partial
     run (``pytest benchmarks/test_engine_perf.py -k bare``) refreshes
@@ -88,4 +90,5 @@ def record_bench():
     yield _record
 
     if entries:
+        RESULTS_DIR.mkdir(exist_ok=True)
         merge_bench_file(BENCH_JSON, entries)

@@ -6,8 +6,8 @@ engine's simulation rate at 100k requests of overload-grade bursty
 traffic (deep queues, full batches) — the regime where the pre-engine
 scheduler went quadratic in queue depth.
 
-Measured perf trajectory (development machines differ; the committed
-``BENCH_engine.json`` records the numbers behind each floor bump):
+Measured perf trajectory (development machines differ; each run
+records its numbers in ``benchmarks/results/BENCH_engine.json``):
 
 * pre-engine scheduler (PR 2): ~8.2k req/s at 50k requests, ~4k req/s
   extrapolated at 100k (scan-the-queue batching, O(pending) admission

@@ -138,7 +138,7 @@ grep -q "failed 40" "$LIBDIR/federate_naive.txt"
 
 # The ext_federation experiment (healthy / naive / federated arms over
 # the frozen three-region chaos plan), written under benchmarks/results/
-# so CI uploads it next to BENCH_engine.json.
+# so CI uploads it next to benchmarks/results/BENCH_engine.json.
 mkdir -p benchmarks/results
 python -m repro sweep --experiment ext_federation --workers 3 \
   --out benchmarks/results/ext_federation.json

@@ -219,16 +219,15 @@ class CompileWorkerPool:
 # Cross-request trace prefetch
 # ----------------------------------------------------------------------
 class _KeyUnion:
-    """Membership over two containers (the prefetcher's skip set)."""
+    """Membership over several containers (the prefetcher's skip set)."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ("containers",)
 
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
+    def __init__(self, *containers) -> None:
+        self.containers = containers
 
     def __contains__(self, key) -> bool:
-        return key in self.first or key in self.second
+        return any(key in container for container in self.containers)
 
 
 class TracePrefetcher:
@@ -1027,6 +1026,11 @@ class EventEngine:
         self._waiting_requests: dict[TraceKey, int] = {}
         self._n_waiting = 0
         self._programs: dict[TraceKey, object] = {}
+        # Keys a prefetch insert evicted, barred from prefetch until a
+        # demand asks for them again: re-prefetching one would evict
+        # another, and with a cache smaller than the working set the
+        # pool would chase its own evictions forever.
+        self._prefetch_evicted: set[TraceKey] = set()
         self._ingest_hit: dict[int, bool] = {}
         self._ingest_prefetched: dict[int, bool] = {}
         self._compile_charge: dict[int, float] = {}
@@ -1203,7 +1207,7 @@ class EventEngine:
         pool = self.pool
         done = pool.submit(now, latency, demand=demand)
         self._waiting_done_s[key] = done
-        self._push(done, _COMPILE_DONE, (key, latency, wall))
+        self._push(done, _COMPILE_DONE, (key, latency, wall, demand))
         if self._obs is not None:
             self._obs.on_compile(pool.last_start, done, pool.last_worker,
                                  key[1], "worker" if demand else "prefetch")
@@ -1221,7 +1225,8 @@ class EventEngine:
         # Resident *and* in-flight keys are filtered inside the
         # predictor, before its candidate cap — either kind occupying
         # a slot could starve deeper, genuinely missing predictions.
-        skip = _KeyUnion(self.cache, self._waiting_done_s)
+        skip = _KeyUnion(self.cache, self._waiting_done_s,
+                         self._prefetch_evicted)
         while self.pool.idle_count(now) > reserve:
             candidates = prefetcher.candidates(resident=skip)
             if not candidates:
@@ -1425,6 +1430,7 @@ class EventEngine:
         prefetcher = self.prefetcher
         if prefetcher is not None:
             prefetcher.observe(key)
+            self._prefetch_evicted.discard(key)
         program = self.cache.lookup(key)
         if program is not None:
             self._ingest_hit[verdict.request_id] = True
@@ -2564,6 +2570,17 @@ class EventEngine:
                 f"event queue drained with {len(self._staged)} staged "
                 "batches never started (engine bug)"
             )
+        # Conservation: every arrival ends exactly once — completed,
+        # shed, or failed. A hedged pair settles to one response (or
+        # fails once, as its original), so clones never enter the count.
+        offered = len(self._arrivals)
+        closed = len(self._responses) + len(self._shed) + len(self._failed)
+        if offered != closed:
+            raise SimulationError(
+                f"request ledger does not balance: {offered} arrived but "
+                f"{len(self._responses)} completed + {len(self._shed)} shed "
+                f"+ {len(self._failed)} failed = {closed} (engine bug)"
+            )
         if self.autoscaler is not None:
             # Drain completions that finished after the last controller
             # tick so the window's accounting closes at exactly one
@@ -2631,12 +2648,15 @@ class EventEngine:
         return report
 
     def _finish_compile(self, now: float, payload) -> None:
-        key, latency, wall = payload
+        key, latency, wall, demand = payload
         # The pin exists so pricing survives the compile window; once
         # the program lands in the cache, the cache's LRU bound owns it
         # (memory stays O(capacity), not O(distinct traces)).
         program = self._programs.pop(key)
-        self.cache.insert(key, program, sim_cost_s=latency, wall_cost_s=wall)
+        evicted = self.cache.insert(key, program, sim_cost_s=latency,
+                                    wall_cost_s=wall)
+        if not demand:
+            self._prefetch_evicted.update(evicted)
         self._waiting_done_s.pop(key, None)
         waiting = self._waiting_requests.pop(key, 0)
         self._n_waiting -= waiting

@@ -46,6 +46,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,8 @@ from repro.serve.admission import ShedRecord, make_admission_policy
 from repro.serve.batcher import PipelineBatcher
 from repro.serve.cluster import ServeCluster
 from repro.serve.faults import FailedRecord
-from repro.serve.metrics import ServiceReport, latency_percentile
+from repro.serve.metrics import (ServiceReport, cached_percentile,
+                                 report_percentiles)
 from repro.serve.request import RenderRequest, TraceKey
 from repro.serve.scheduler import simulate_service
 from repro.serve.trace_cache import TraceCache
@@ -448,8 +450,13 @@ class Region:
         self.versions: dict[TraceKey, tuple[str, int]] = {}
         self.version_vector: dict[str, int] = {spec.name: 0}
         self._last_published: dict[TraceKey, TraceRecord] = {}
-        # Accounting.
-        self.reports: list[ServiceReport] = []
+        # Accounting: running totals over served epochs (the epoch
+        # reports themselves are not kept). The totals start as int 0,
+        # as ``sum()`` over no epochs would, so an idle region's JSON
+        # is unchanged.
+        self.n_epochs_served = 0
+        self.chip_seconds = 0
+        self.cost_units = 0
         self.epoch_timeline: list[dict] = []
         self.service_ewma_s = 0.0
         self.queue_ewma_s = 0.0
@@ -487,17 +494,17 @@ class Region:
             if hits > hits_baseline.get(key, 0)
         }
         self.library.absorb(self.cache, run_hits=run_hits)
-        if report.responses:
-            mean_service = float(np.mean(
-                [resp.finish_s - resp.start_s for resp in report.responses]))
-            alpha = self.config.service_ewma_alpha
-            self.service_ewma_s = (
-                mean_service if self.service_ewma_s == 0.0
-                else (1.0 - alpha) * self.service_ewma_s
-                + alpha * mean_service)
-            self.queue_ewma_s = ((1.0 - alpha) * self.queue_ewma_s
-                                 + alpha * float(report.mean_queue_s))
-        self.reports.append(report)
+        summary = report.summary
+        alpha = self.config.service_ewma_alpha
+        self.service_ewma_s = (
+            summary.mean_service_s if self.service_ewma_s == 0.0
+            else (1.0 - alpha) * self.service_ewma_s
+            + alpha * summary.mean_service_s)
+        self.queue_ewma_s = ((1.0 - alpha) * self.queue_ewma_s
+                             + alpha * summary.mean_queue_s)
+        self.n_epochs_served += 1
+        self.chip_seconds += report.total_chip_seconds
+        self.cost_units += report.total_cost_units
         self.epoch_timeline.append({
             "epoch": epoch,
             "t0": t0,
@@ -560,13 +567,11 @@ class Region:
 
     # -- rollups -------------------------------------------------------
     def summary(self) -> dict:
-        chip_seconds = sum(r.total_chip_seconds for r in self.reports)
-        cost_units = sum(r.total_cost_units for r in self.reports)
         return {
             "spec": self.spec.to_dict(),
-            "n_epochs_served": len(self.reports),
-            "chip_seconds": chip_seconds,
-            "cost_units": cost_units * self.spec.cost_factor,
+            "n_epochs_served": self.n_epochs_served,
+            "chip_seconds": self.chip_seconds,
+            "cost_units": self.cost_units * self.spec.cost_factor,
             "cache": self.cache.stats.to_dict(),
             "gossip_records_sent": self.gossip_records_sent,
             "gossip_records_received": self.gossip_records_received,
@@ -712,9 +717,61 @@ class FederatedResponse:
         return self.latency_s <= self.response.request.effective_slo_s
 
 
+#: One row per federated response, extracted in a single pass.
+_FEDERATED_COLUMNS = np.dtype([
+    ("arrival", "f8"), ("finish", "f8"), ("extra", "f8"), ("slo", "f8"),
+    ("failover", "?"), ("remote", "?"),
+])
+
+
+@dataclass(frozen=True, slots=True)
+class FederationSummary:
+    """Every per-response figure of a :class:`FederationReport`,
+    computed once from one pass over ``completed`` (scalars only)."""
+
+    latency_p: tuple[float, ...]    # REPORT_QUANTILES, s; () if none
+    n_slo_met: int
+    makespan_s: float
+    n_failovers: int
+    n_remote: int
+
+
+def _federated_rows(completed: Sequence[FederatedResponse]):
+    """Yield one :data:`_FEDERATED_COLUMNS` row per federated response."""
+    for item in completed:
+        response = item.response
+        request = response.request
+        yield (request.arrival_s, response.finish_s, item.extra_latency_s,
+               request.slo_s * request.tenant.slo_multiplier,
+               item.failover, item.region != item.home)
+
+
+def summarize_federated(
+        completed: Sequence[FederatedResponse]) -> FederationSummary:
+    """One pass over ``completed``; byte-identical to scoring each
+    :class:`FederatedResponse` on its own (same float64 latencies,
+    same :mod:`numpy` percentiles)."""
+    cols = np.fromiter(_federated_rows(completed), dtype=_FEDERATED_COLUMNS,
+                       count=len(completed))
+    arrival, finish = cols["arrival"], cols["finish"]
+    latency = (finish - arrival) + cols["extra"]
+    makespan = (max(float(finish.max()) - float(arrival.min()), 0.0)
+                if len(completed) else 0.0)
+    return FederationSummary(
+        latency_p=report_percentiles(latency),
+        n_slo_met=int(np.count_nonzero(latency <= cols["slo"])),
+        makespan_s=makespan,
+        n_failovers=int(np.count_nonzero(cols["failover"])),
+        n_remote=int(np.count_nonzero(cols["remote"])),
+    )
+
+
 @dataclass
 class FederationReport:
-    """What the federation did with one planet-wide workload."""
+    """What the federation did with one planet-wide workload.
+
+    Per-response figures come from :attr:`summary`, computed once on
+    first access."""
 
     config: FederationConfig
     specs: tuple[RegionSpec, ...]
@@ -750,12 +807,14 @@ class FederationReport:
     def n_failed(self) -> int:
         return len(self.failed)
 
-    @property
-    def latencies_s(self) -> np.ndarray:
-        return np.array([f.latency_s for f in self.completed])
+    @cached_property
+    def summary(self) -> FederationSummary:
+        return summarize_federated(self.completed)
 
     def latency_p(self, q: float) -> float:
-        return latency_percentile(self.latencies_s, q)
+        return cached_percentile(
+            self.summary.latency_p, q,
+            lambda: [f.latency_s for f in self.completed])
 
     @property
     def slo_attainment(self) -> float:
@@ -763,7 +822,7 @@ class FederationReport:
         and failover migration cost included in every latency."""
         if not self.completed:
             return 0.0
-        return sum(f.slo_met for f in self.completed) / len(self.completed)
+        return self.summary.n_slo_met / len(self.completed)
 
     @property
     def goodput_slo_attainment(self) -> float:
@@ -772,15 +831,11 @@ class FederationReport:
         fails a whole region's day cannot hide it here)."""
         if not self.n_offered:
             return 0.0
-        return sum(f.slo_met for f in self.completed) / self.n_offered
+        return self.summary.n_slo_met / self.n_offered
 
     @property
     def makespan_s(self) -> float:
-        if not self.completed:
-            return 0.0
-        start = min(f.response.request.arrival_s for f in self.completed)
-        end = max(f.response.finish_s for f in self.completed)
-        return max(end - start, 0.0)
+        return self.summary.makespan_s
 
     @property
     def throughput_rps(self) -> float:
@@ -789,11 +844,11 @@ class FederationReport:
 
     @property
     def n_failovers(self) -> int:
-        return sum(f.failover for f in self.completed)
+        return self.summary.n_failovers
 
     @property
     def n_remote(self) -> int:
-        return sum(f.region != f.home for f in self.completed)
+        return self.summary.n_remote
 
     @property
     def total_chip_seconds(self) -> float:

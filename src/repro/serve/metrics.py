@@ -16,6 +16,8 @@ fleet-size timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from repro.serve.admission import ShedRecord
 from repro.serve.autoscaler import FleetEvent
 from repro.serve.cluster import ChipState
 from repro.serve.faults import FailedRecord
-from repro.serve.request import RenderResponse
+from repro.serve.request import RenderResponse, TenantClass
 
 
 def latency_percentile(latencies_s: list[float] | np.ndarray, q: float) -> float:
@@ -34,9 +36,230 @@ def latency_percentile(latencies_s: list[float] | np.ndarray, q: float) -> float
     return float(np.percentile(np.asarray(latencies_s, dtype=float), q))
 
 
+#: Latency quantiles every report prints, exports, and publishes.
+REPORT_QUANTILES = (50, 95, 99)
+
+#: One row per response: everything the report aggregates, extracted in
+#: a single pass (the column arrays are dropped once summarized).
+_RESPONSE_COLUMNS = np.dtype([
+    ("arrival", "f8"), ("start", "f8"), ("finish", "f8"), ("slo", "f8"),
+    ("energy", "f8"), ("tenant", "i4"), ("degraded", "?"),
+    ("preemptions", "i4"), ("migrated", "?"), ("requeues", "i4"),
+    ("hedged", "?"),
+])
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Python's left-to-right ``sum`` of ``values`` (not numpy's pairwise
+    sum, which rounds differently), converting 4096 values at a time so
+    a large column never exists as a full list of Python floats."""
+    total = 0.0
+    for lo in range(0, len(values), 4096):
+        total = sum(values[lo:lo + 4096].tolist(), total)
+    return total
+
+
+def report_percentiles(latencies_s: np.ndarray) -> tuple[float, ...]:
+    """:data:`REPORT_QUANTILES` of ``latencies_s`` (``()`` when empty).
+
+    One :func:`numpy.percentile` call: each quantile is the same
+    interpolation between the same order statistics as a call per q."""
+    if len(latencies_s) == 0:
+        return ()
+    return tuple(np.percentile(latencies_s, REPORT_QUANTILES).tolist())
+
+
+def cached_percentile(percentiles: tuple[float, ...], q: float,
+                      latencies_s: Callable[[], list[float]]) -> float:
+    """``q``-th percentile: from ``percentiles`` (a
+    :func:`report_percentiles` result) for a report quantile, else from
+    ``latencies_s()`` — only an off-grid ``q`` walks the responses."""
+    if q in REPORT_QUANTILES and percentiles:
+        return percentiles[REPORT_QUANTILES.index(q)]
+    return latency_percentile(latencies_s(), q)
+
+
+@dataclass(frozen=True, slots=True)
+class TenantStats:
+    """One tenant class's aggregates; :meth:`row` renders the
+    :meth:`ServiceReport.tenant_report` entry."""
+
+    tenant: TenantClass     # first class seen under this name
+    n_requests: int
+    n_shed: int
+    n_degraded: int
+    n_preempted: int
+    preemptions: int
+    n_migrated: int
+    slo_met: int
+    service_s: float
+    latency_p: tuple[float, ...]    # REPORT_QUANTILES, s; () if none served
+
+    def row(self) -> dict:
+        n = self.n_requests
+        n_offered = n + self.n_shed
+        row = {
+            "tier": self.tenant.tier,
+            "weight": self.tenant.weight,
+            "slo_multiplier": self.tenant.slo_multiplier,
+            "n_requests": n,
+            "n_shed": self.n_shed,
+            "n_degraded": self.n_degraded,
+            "n_preempted": self.n_preempted,
+            "preemptions": self.preemptions,
+            "n_migrated": self.n_migrated,
+            "slo_met": self.slo_met,
+            "service_s": self.service_s,
+            "n_offered": n_offered,
+            "shed_rate": self.n_shed / n_offered,
+        }
+        nan = (float("nan"),) * len(REPORT_QUANTILES)
+        for q, value in zip(REPORT_QUANTILES, self.latency_p or nan):
+            row[f"latency_p{q}_ms"] = value * 1e3
+        row["slo_attainment"] = self.slo_met / n if n else 0.0
+        row["goodput_slo_attainment"] = self.slo_met / n_offered
+        return row
+
+
+@dataclass(frozen=True, slots=True)
+class ReportSummary:
+    """Every per-response figure of a :class:`ServiceReport`.
+
+    Built once, on first access, by :func:`summarize_responses`. It
+    holds scalars and per-tenant counts only, never per-response
+    arrays, so caching it costs a few hundred bytes per report.
+    """
+
+    first_arrival_s: float
+    end_s: float
+    latency_p: tuple[float, ...]    # REPORT_QUANTILES, seconds
+    mean_queue_s: float
+    mean_service_s: float
+    n_slo_met: int
+    n_degraded: int
+    n_preempted: int
+    total_preemptions: int
+    n_migrated: int
+    n_requeued: int
+    n_hedge_won: int
+    energy_j: float
+    tenants: dict[str, TenantStats]     # most premium tier first
+    fairness_index: float
+
+
+def _response_rows(responses, tenants: dict[str, list]):
+    """Yield one :data:`_RESPONSE_COLUMNS` row per response, numbering
+    tenants by name in first-seen order. ``tenants[name]`` becomes
+    ``[index, first TenantClass seen, last TenantClass seen]``."""
+    last = None
+    index = -1
+    for r in responses:
+        request = r.request
+        tenant = request.tenant
+        if tenant is not last:
+            entry = tenants.get(tenant.name)
+            if entry is None:
+                entry = tenants[tenant.name] = [len(tenants), tenant, tenant]
+            else:
+                entry[2] = tenant
+            last = tenant
+            index = entry[0]
+        yield (request.arrival_s, r.start_s, r.finish_s,
+               request.slo_s * tenant.slo_multiplier, r.energy_j, index,
+               request.degraded, r.preemptions, r.migrated, r.requeues,
+               r.hedged)
+
+
+def summarize_responses(responses: list[RenderResponse],
+                        shed: list[ShedRecord]) -> ReportSummary:
+    """One pass over ``responses`` (plus the shed list) for every figure
+    the report derives from them.
+
+    Byte-identical to scoring each response on its own: latencies,
+    queue waits and service times are the same float64 differences,
+    percentiles and means run :mod:`numpy` over the same values, and
+    float totals keep Python's left-to-right ``sum`` order.
+    """
+    tenants: dict[str, list] = {}
+    cols = np.fromiter(_response_rows(responses, tenants),
+                       dtype=_RESPONSE_COLUMNS, count=len(responses))
+    arrival, start, finish = cols["arrival"], cols["start"], cols["finish"]
+    latency = finish - arrival
+    service = finish - start
+    met = latency <= cols["slo"]
+    degraded, migrated = cols["degraded"], cols["migrated"]
+    preemptions = cols["preemptions"]
+    overall = report_percentiles(latency)
+    shed_counts: dict[str, int] = {}
+    for record in shed:
+        tenant = record.request.tenant
+        if tenant.name not in tenants:
+            tenants[tenant.name] = [len(tenants), tenant, tenant]
+        shed_counts[tenant.name] = shed_counts.get(tenant.name, 0) + 1
+
+    stats: list[TenantStats] = []
+    shares: list[float] = []
+    tenant_col = cols["tenant"]
+    for name, (index, first, last) in tenants.items():
+        if len(tenants) == 1:
+            sel, n = slice(None), len(responses)
+        else:
+            sel = tenant_col == index
+            n = int(np.count_nonzero(sel))
+        service_s = _sum_in_order(service[sel])
+        stats.append(TenantStats(
+            tenant=first,
+            n_requests=n,
+            n_shed=shed_counts.get(name, 0),
+            n_degraded=int(np.count_nonzero(degraded[sel])),
+            n_preempted=int(np.count_nonzero(preemptions[sel])),
+            preemptions=int(preemptions[sel].sum()),
+            n_migrated=int(np.count_nonzero(migrated[sel])),
+            slo_met=int(np.count_nonzero(met[sel])),
+            service_s=service_s,
+            latency_p=(overall if n == len(responses)
+                       else report_percentiles(latency[sel])),
+        ))
+        # Jain's allocation: delivered service per unit of the weight
+        # the tenant last arrived with.
+        shares.append(service_s / last.weight)
+
+    fairness = 1.0
+    if len(shares) > 1:
+        total = sum(shares)
+        square_sum = sum(x * x for x in shares)
+        if square_sum != 0.0:
+            fairness = total * total / (len(shares) * square_sum)
+
+    return ReportSummary(
+        first_arrival_s=float(arrival.min()),
+        end_s=float(finish.max()),
+        latency_p=overall,
+        mean_queue_s=float(np.mean(start - arrival)),
+        mean_service_s=float(np.mean(service)),
+        n_slo_met=int(np.count_nonzero(met)),
+        n_degraded=int(np.count_nonzero(degraded)),
+        n_preempted=int(np.count_nonzero(preemptions)),
+        total_preemptions=int(preemptions.sum()),
+        n_migrated=int(np.count_nonzero(migrated)),
+        n_requeued=int(np.count_nonzero(cols["requeues"])),
+        n_hedge_won=int(np.count_nonzero(cols["hedged"])),
+        energy_j=_sum_in_order(cols["energy"]),
+        tenants={t.tenant.name: t for t in sorted(
+            stats, key=lambda t: (t.tenant.tier, t.tenant.name))},
+        fairness_index=fairness,
+    )
+
+
 @dataclass
 class ServiceReport:
-    """Everything one service simulation produced."""
+    """Everything one service simulation produced.
+
+    Every figure derived from ``responses`` comes from :attr:`summary`,
+    computed in one pass on first access and cached (so the report is
+    read-only once built), which keeps the cost of formatting and
+    exporting it linear in responses + chips.
+    """
 
     policy: str
     responses: list[RenderResponse]
@@ -61,15 +284,20 @@ class ServiceReport:
         if not self.responses:
             raise SimulationError("service completed no requests")
 
+    @cached_property
+    def summary(self) -> ReportSummary:
+        """The per-response aggregates, computed once."""
+        return summarize_responses(self.responses, self.shed)
+
     # -- time span ------------------------------------------------------
     @property
     def first_arrival_s(self) -> float:
-        return min(r.request.arrival_s for r in self.responses)
+        return self.summary.first_arrival_s
 
     @property
     def end_s(self) -> float:
         """Absolute time of the last completion (the cost horizon)."""
-        return max(r.finish_s for r in self.responses)
+        return self.summary.end_s
 
     @property
     def makespan_s(self) -> float:
@@ -86,26 +314,19 @@ class ServiceReport:
         return self.n_requests / self.makespan_s
 
     @property
-    def latencies_s(self) -> np.ndarray:
-        return np.array([r.latency_s for r in self.responses])
-
-    @property
-    def queue_waits_s(self) -> np.ndarray:
-        """Arrival-to-chip-start wait of every completed request."""
-        return np.array([r.queue_s for r in self.responses])
-
-    @property
     def mean_queue_s(self) -> float:
         """Mean queue wait — the headline compile-overlap metric."""
-        return float(np.mean(self.queue_waits_s))
+        return self.summary.mean_queue_s
 
     def latency_p(self, q: float) -> float:
-        return latency_percentile(self.latencies_s, q)
+        return cached_percentile(
+            self.summary.latency_p, q,
+            lambda: [r.latency_s for r in self.responses])
 
     @property
     def slo_attainment(self) -> float:
         """Fraction of *completed* requests finishing within their SLO."""
-        return sum(r.slo_met for r in self.responses) / self.n_requests
+        return self.summary.n_slo_met / self.n_requests
 
     @property
     def cache_hit_rate(self) -> float:
@@ -125,9 +346,11 @@ class ServiceReport:
     def n_offered(self) -> int:
         """Requests that arrived, whether or not they were admitted.
 
-        Conservation: ``n_offered == n_requests + n_shed + n_failed`` —
-        every arrival completes, is refused at admission, or is lost to
-        an unrecoverable fleet failure. Nothing else can happen to it.
+        Defined as ``n_requests + n_shed + n_failed``, so it cannot by
+        itself reveal a lost request. Conservation is checked where it
+        can fail: the engine raises
+        :class:`~repro.errors.SimulationError` at finalize unless every
+        ingested request completed, was shed, or failed.
         """
         return self.n_requests + self.n_shed + self.n_failed
 
@@ -137,44 +360,44 @@ class ServiceReport:
 
     @property
     def n_degraded(self) -> int:
-        return sum(1 for r in self.responses if r.request.degraded)
+        return self.summary.n_degraded
 
     @property
     def goodput_slo_attainment(self) -> float:
         """SLO attainment over *offered* traffic: sheds count as misses,
         so an admission policy cannot look good by refusing everything."""
-        return sum(r.slo_met for r in self.responses) / self.n_offered
+        return self.summary.n_slo_met / self.n_offered
 
     # -- multi-tenant QoS metrics ---------------------------------------
     @property
     def n_preempted(self) -> int:
         """Completed requests that were displaced at least once."""
-        return sum(1 for r in self.responses if r.preemptions > 0)
+        return self.summary.n_preempted
 
     @property
     def total_preemptions(self) -> int:
         """Displacements summed over requests (one request may be
         displaced more than once)."""
-        return sum(r.preemptions for r in self.responses)
+        return self.summary.total_preemptions
 
     @property
     def n_migrated(self) -> int:
         """Displaced requests that completed on a different chip than
         the one they were displaced from — under an autoscaler that
         includes chips warmed after the displacement."""
-        return sum(1 for r in self.responses if r.migrated)
+        return self.summary.n_migrated
 
     # -- chaos metrics ---------------------------------------------------
     @property
     def n_requeued(self) -> int:
         """Completed requests that survived at least one chip crash."""
-        return sum(1 for r in self.responses if r.requeues > 0)
+        return self.summary.n_requeued
 
     @property
     def n_hedge_won(self) -> int:
         """Completed requests whose response came from the hedged
         duplicate rather than the primary dispatch."""
-        return sum(1 for r in self.responses if r.hedged)
+        return self.summary.n_hedge_won
 
     @property
     def fleet_availability(self) -> float:
@@ -197,59 +420,10 @@ class ServiceReport:
         return up_s / n_crashes
 
     def tenant_report(self) -> dict[str, dict]:
-        """Per-tenant-class service metrics (the QoS scoreboard)."""
-        by_tenant: dict[str, dict] = {}
-
-        def entry(tenant) -> dict:
-            e = by_tenant.get(tenant.name)
-            if e is None:
-                e = by_tenant[tenant.name] = {
-                    "tier": tenant.tier,
-                    "weight": tenant.weight,
-                    "slo_multiplier": tenant.slo_multiplier,
-                    "n_requests": 0,
-                    "n_shed": 0,
-                    "n_degraded": 0,
-                    "n_preempted": 0,
-                    "preemptions": 0,
-                    "n_migrated": 0,
-                    "slo_met": 0,
-                    "service_s": 0.0,
-                    "_latencies": [],
-                }
-            return e
-
-        for r in self.responses:
-            e = entry(r.request.tenant)
-            e["n_requests"] += 1
-            e["n_degraded"] += r.request.degraded
-            e["n_preempted"] += r.preemptions > 0
-            e["preemptions"] += r.preemptions
-            e["n_migrated"] += r.migrated
-            e["slo_met"] += r.slo_met
-            e["service_s"] += r.service_s
-            e["_latencies"].append(r.latency_s)
-        for s in self.shed:
-            entry(s.request.tenant)["n_shed"] += 1
-
-        for e in by_tenant.values():
-            latencies = e.pop("_latencies")
-            n = e["n_requests"]
-            e["n_offered"] = n + e["n_shed"]
-            e["shed_rate"] = e["n_shed"] / e["n_offered"]
-            if latencies:
-                e["latency_p50_ms"] = latency_percentile(latencies, 50) * 1e3
-                e["latency_p95_ms"] = latency_percentile(latencies, 95) * 1e3
-                e["latency_p99_ms"] = latency_percentile(latencies, 99) * 1e3
-                e["slo_attainment"] = e["slo_met"] / n
-            else:
-                e["latency_p50_ms"] = e["latency_p95_ms"] = \
-                    e["latency_p99_ms"] = float("nan")
-                e["slo_attainment"] = 0.0
-            e["goodput_slo_attainment"] = e["slo_met"] / e["n_offered"]
-        # Present most premium tier first, deterministic within a tier.
-        return dict(sorted(by_tenant.items(),
-                           key=lambda kv: (kv[1]["tier"], kv[0])))
+        """Per-tenant-class service metrics (the QoS scoreboard); a
+        copy, so callers may edit it freely."""
+        return {name: stats.row()
+                for name, stats in self.summary.tenants.items()}
 
     @property
     def fairness_index(self) -> float:
@@ -262,24 +436,7 @@ class ServiceReport:
         ``1/n`` as one tenant monopolizes the fleet. Shed traffic shows
         up as the shed tenant's allocation shrinking.
         """
-        allocations: dict[str, float] = {}
-        weights: dict[str, float] = {}
-        for r in self.responses:
-            t = r.request.tenant
-            allocations[t.name] = allocations.get(t.name, 0.0) + r.service_s
-            weights[t.name] = t.weight
-        for s in self.shed:
-            t = s.request.tenant
-            allocations.setdefault(t.name, 0.0)
-            weights.setdefault(t.name, t.weight)
-        shares = [allocations[name] / weights[name] for name in allocations]
-        if len(shares) <= 1:
-            return 1.0
-        total = sum(shares)
-        square_sum = sum(x * x for x in shares)
-        if square_sum == 0.0:
-            return 1.0
-        return total * total / (len(shares) * square_sum)
+        return self.summary.fairness_index
 
     # -- fleet metrics --------------------------------------------------
     @property
@@ -306,7 +463,7 @@ class ServiceReport:
 
     @property
     def energy_per_request_j(self) -> float:
-        return sum(r.energy_j for r in self.responses) / self.n_requests
+        return self.summary.energy_j / self.n_requests
 
     @property
     def mean_batch_size(self) -> float:

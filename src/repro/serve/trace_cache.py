@@ -277,10 +277,11 @@ class TraceCache:
         program: MicroOpProgram,
         sim_cost_s: float = 0.0,
         wall_cost_s: float = 0.0,
-    ) -> None:
-        """Land a program compiled elsewhere (worker pool or prefetch)."""
+    ) -> list[TraceKey]:
+        """Land a program compiled elsewhere (worker pool or prefetch);
+        returns the keys its admission evicted."""
         self._account_compile(key, sim_cost_s, wall_cost_s)
-        self._admit(key, program)
+        return self._admit(key, program)
 
     def warm_start(
         self,
@@ -317,12 +318,16 @@ class TraceCache:
         self.stats.compile_wall_s += wall
         self._compile_cost_s[key] = sim
 
-    def _admit(self, key: TraceKey, program: MicroOpProgram) -> None:
+    def _admit(self, key: TraceKey, program: MicroOpProgram
+               ) -> list[TraceKey]:
+        """Install ``key``; returns the keys evicted to make room."""
+        out: list[TraceKey] = []
         if self.capacity > 0:
             self._entries[key] = program
             self.evicted_meta.pop(key, None)
             while len(self._entries) > self.capacity:
                 evicted, victim = self._entries.popitem(last=False)
+                out.append(evicted)
                 cost = self._compile_cost_s.pop(evicted, 0.0)
                 self.evicted_meta[evicted] = (
                     len(victim.invocations), victim.pixels, cost)
@@ -331,6 +336,7 @@ class TraceCache:
                     self._m_evictions.inc()
                 if self.on_evict is not None:
                     self.on_evict(evicted)
+        return out
 
     def clear(self) -> None:
         """Drop entries and cost records; counters are kept."""
