@@ -17,6 +17,7 @@ from repro.core.microops import MicroOp
 from repro.devices import get_device
 from repro.devices.support import SUPPORT_MATRIX_TABLE_VI
 from repro.metrics import geometric_mean
+from repro.text_table import format_table
 
 #: Static Table I columns the paper cites from the reference works.
 CG_COMPATIBILITY = {
@@ -37,18 +38,6 @@ PAPER_TABLE_I = {
 }
 
 PIPELINES = ("mesh", "mlp", "lowrank", "hashgrid", "gaussian")
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Plain-text table used by every printer."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

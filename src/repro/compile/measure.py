@@ -6,7 +6,7 @@ the screen the meshes cover, how strongly splats overlap. We obtain them
 by rendering a small probe frame with quick-built (low-fidelity)
 representations: these statistics depend on scene *geometry*, not on how
 well the representation is trained, so the probes use minimal training.
-Results are cached per (scene, pipeline).
+Results are cached per (scene, pipeline, probe view count).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _PROBE_BUILD_KWARGS: dict[str, dict] = {
     "mixrt": {"mesh_train_steps": 10, "hash_train_steps": 10, "samples_per_ray": 96},
 }
 
-_CACHE: dict[tuple[str, str], dict[str, float]] = {}
+_CACHE: dict[tuple[str, str, int], dict[str, float]] = {}
 
 
 def clear_measure_cache() -> None:
@@ -62,7 +62,7 @@ def measure_coeffs(scene_name: str, pipeline: str, n_views: int = 2) -> dict[str
     * ``sort_share`` — sorted elements per pixel per visible splat.
     * ``complexity`` — the scene registry's relative complexity knob.
     """
-    key = (scene_name, pipeline)
+    key = (scene_name, pipeline, n_views)
     if key in _CACHE:
         return _CACHE[key]
 

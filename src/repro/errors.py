@@ -6,6 +6,8 @@ callers can catch one type at the API boundary.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -43,3 +45,16 @@ class SimulationError(ReproError):
 class ObsError(ReproError):
     """An observability artifact (trace, metrics dump, flight-recorder
     capture) was malformed or failed validation."""
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` that also raises ``ValueError`` for NaN and the
+    infinities (``"1e400"`` included).
+
+    Spec parsers call it inside their ``except ValueError`` so the
+    :class:`ConfigError` they raise names the field and chains the cause.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value

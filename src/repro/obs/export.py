@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 from repro.errors import ObsError
 from repro.persist import atomic_write_text
 from repro.obs.tracer import TraceEvent, Tracer
+from repro.text_table import format_table
 
 #: Track group -> Chrome trace pid. One process per lane family keeps
 #: Perfetto's process grouping meaningful (chips together, workers
@@ -231,8 +232,6 @@ def save_metrics(registry, path: str | Path) -> Path:
 # ----------------------------------------------------------------------
 def summarize_chrome_trace(obj: dict) -> str:
     """Human summary of a dumped trace artifact (validates first)."""
-    from repro.analysis.tables import format_table
-
     n_events = validate_chrome_trace(obj)
     events = obj["traceEvents"]
     spans = [e for e in events if e["ph"] == "X"]

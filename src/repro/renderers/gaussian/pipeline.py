@@ -21,6 +21,21 @@ from repro.scenes.fields import SceneField
 TRANSMITTANCE_FLOOR = 1e-3
 
 
+def splat_power(d0: np.ndarray, d1: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Quadratic form ``delta^T inv delta`` per pixel and splat.
+
+    ``d0`` / ``d1`` are the ``(p, g)`` x / y columns of ``delta`` (pixel
+    minus splat center), ``inv`` the ``(g, 2, 2)`` inverse 2D
+    covariances; returns ``(p, g)``. The four terms are written out in
+    the order, and with the left-to-right grouping, in which
+    ``np.einsum("pgi,gij,pgj->pg", delta, inv, delta)`` accumulates
+    them, so the result is bit-identical to it at ~4x the speed.
+    Regrouping them, e.g. ``(a + b) + (c + d)``, changes the rounding.
+    """
+    i00, i01, i10, i11 = inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0], inv[:, 1, 1]
+    return d0 * i00 * d0 + d0 * i01 * d1 + d1 * i10 * d0 + d1 * i11 * d1
+
+
 class GaussianRenderer:
     """Renders a :class:`GaussianModel` — the 3DGS pipeline."""
 
@@ -86,17 +101,19 @@ class GaussianRenderer:
     ) -> np.ndarray:
         """Front-to-back alpha blending of one tile's sorted splats."""
         ys, xs = np.mgrid[y0:y1, x0:x1]
-        pix = np.stack([xs.ravel() + 0.5, ys.ravel() + 0.5], axis=1)  # (p, 2)
-        delta = pix[:, None, :] - splats.center[rows][None, :, :]     # (p, g, 2)
-        inv = splats.inv_cov[rows]
-        power = np.einsum("pgi,gij,pgj->pg", delta, inv, delta)
+        # Pixel-minus-center per axis; never built as one (p, g, 2) array,
+        # which on a crowded tile is the probe's largest temporary.
+        center = splats.center[rows]
+        d0 = (xs.ravel() + 0.5)[:, None] - center[:, 0]  # (p, g)
+        d1 = (ys.ravel() + 0.5)[:, None] - center[:, 1]
+        power = splat_power(d0, d1, splats.inv_cov[rows])
         stats.add("splat_tests", power.size)
         alpha = splats.opacity[rows][None, :] * np.exp(-0.5 * power)
         alpha = np.where(alpha < ALPHA_CULL_THRESHOLD, 0.0, np.minimum(alpha, 0.99))
 
         transmittance = np.cumprod(1.0 - alpha + 1e-12, axis=1)
         transmittance = np.concatenate(
-            [np.ones((len(pix), 1)), transmittance[:, :-1]], axis=1
+            [np.ones((len(d0), 1)), transmittance[:, :-1]], axis=1
         )
         # Hard stop once the ray is saturated (3DGS early termination).
         weights = np.where(

@@ -21,6 +21,17 @@ def _as_vec3(value) -> np.ndarray:
     return arr
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(N, 3)`` array.
+
+    The same products and left-to-right sum as ``np.linalg.norm(v,
+    axis=1)``, so the result is bit-identical, but three column passes
+    skip NumPy's slow axis-1 reduction over 3-wide rows.
+    """
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
+
+
 @dataclass
 class Primitive:
     """Base class: a blob of matter with a signed distance and an albedo.
@@ -99,7 +110,7 @@ class Sphere(Primitive):
     radius: float = 0.3
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(points - self.center, axis=1) - self.radius
+        return _row_norm(points - self.center) - self.radius
 
     def bounding_radius(self) -> float:
         return self.radius
@@ -117,8 +128,9 @@ class Box(Primitive):
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         q = np.abs(points - self.center) - self.half_extents
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
+        qx, qy, qz = q.T
+        outside = _row_norm(np.maximum(q, 0.0))
+        inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
         return outside + inside
 
     def bounding_radius(self) -> float:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_float
 from repro.serve.request import RenderRequest
 
 
@@ -296,6 +296,8 @@ class FaultPlan:
         horizon.  Per-chip crash windows that would overlap are
         dropped rather than repaired, so the draw is always valid.
         """
+        if seed < 0:
+            raise ConfigError("seeded plan needs seed >= 0")
         if n_chips < 1:
             raise ConfigError("seeded plan needs n_chips >= 1")
         if horizon_s <= 0:
@@ -373,21 +375,23 @@ class FaultPlan:
                     chip, _, when = value.partition("@")
                     at, plus, down = when.partition("+")
                     crashes.append(ChipCrash(
-                        int(chip), float(at),
-                        float(down) if plus else None))
+                        int(chip), finite_float(at),
+                        finite_float(down) if plus else None))
                 elif key == "slow":
                     chip, _, window = value.partition("@")
                     span, _, factor = window.partition("x")
                     a, _, b = span.partition("-")
                     stragglers.append(StragglerWindow(
-                        int(chip), float(a), float(b), float(factor)))
+                        int(chip), finite_float(a), finite_float(b),
+                        finite_float(factor)))
                 elif key == "stall":
                     span, _, factor = value.partition("x")
                     a, _, b = span.partition("-")
                     stalls.append(CompileStall(
-                        float(a), float(b), float(factor)))
+                        finite_float(a), finite_float(b),
+                        finite_float(factor)))
                 elif key == "rollback":
-                    rollback = float(value)
+                    rollback = finite_float(value)
                 else:
                     raise ConfigError(
                         f"unknown fault entry {key!r} (expected crash=, "
@@ -411,11 +415,11 @@ class FaultPlan:
                     f"unknown seeded fault key {key!r} (expected one of "
                     f"{sorted(keys)})")
             try:
-                keys[key] = float(value) if key in ("horizon", "rollback") \
-                    else int(value)
+                keys[key] = finite_float(value) \
+                    if key in ("horizon", "rollback") else int(value)
             except ValueError as exc:
                 raise ConfigError(
-                    f"malformed seeded fault entry {entry!r}") from exc
+                    f"malformed seeded fault entry {entry!r}: {exc}") from exc
         if keys["chips"] is None or keys["horizon"] is None:
             raise ConfigError(
                 "seeded fault spec needs chips= and horizon=")

@@ -44,6 +44,7 @@ frozen federation goldens pin.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.config import CompileLatencyModel
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, finite_float
 from repro.serve.admission import ShedRecord, make_admission_policy
 from repro.serve.batcher import PipelineBatcher
 from repro.serve.cluster import ServeCluster
@@ -151,11 +152,11 @@ def parse_region_spec(spec: str) -> tuple[RegionSpec, ...]:
                     fields[key] = value.strip()
                     continue
                 try:
-                    fields[key] = float(value)
+                    fields[key] = finite_float(value)
                 except ValueError as err:
                     raise ConfigError(
-                        f"region field {pair!r} in {raw!r} is not a number"
-                    ) from err
+                        f"region field {pair!r} in {raw!r} is not a number: "
+                        f"{err}") from err
         specs.append(RegionSpec(
             name=name,
             tz_offset_h=fields["tz"],
@@ -376,11 +377,13 @@ class FederationPlan:
                     f"federation fault {entry!r} is missing '@start'")
             start_text, sep, duration_text = when.partition("+")
             try:
-                start = float(start_text)
-                end = (start + float(duration_text)) if sep else None
+                start = finite_float(start_text)
+                end = (start + finite_float(duration_text)) if sep else None
+                if end is not None and not math.isfinite(end):
+                    raise ValueError("start + duration overflows")
             except ValueError as err:
                 raise ConfigError(
-                    f"bad time in federation fault {entry!r}") from err
+                    f"bad time in federation fault {entry!r}: {err}") from err
             if kind == "outage":
                 outages.append(RegionOutage(
                     region=target.strip(), start_s=start, end_s=end))

@@ -27,6 +27,7 @@ from repro.serve.autoscaler import FleetEvent
 from repro.serve.cluster import ChipState
 from repro.serve.faults import FailedRecord
 from repro.serve.request import RenderResponse, TenantClass
+from repro.text_table import format_table
 
 
 def latency_percentile(latencies_s: list[float] | np.ndarray, q: float) -> float:
@@ -619,8 +620,6 @@ def publish_report(report: ServiceReport, registry) -> None:
 
 def format_service_report(report: ServiceReport) -> str:
     """Human-readable serving summary (the `repro serve` output)."""
-    from repro.analysis.tables import format_table
-
     admission = report.admission_policy or "admit-all"
     lines = [
         f"policy={report.policy}  admission={admission}  "

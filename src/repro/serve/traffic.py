@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_float
 from repro.serve.request import RenderRequest, TenantClass
 
 #: Default request mix: two scenes, three pipelines with distinct
@@ -175,11 +175,11 @@ def parse_tenant_spec(spec: str) -> list[tuple[TenantClass, float]]:
                         "tier=, weight=, slo=, or share="
                     )
                 try:
-                    fields[key] = float(value)
+                    fields[key] = finite_float(value)
                 except ValueError as err:
                     raise ConfigError(
-                        f"tenant field {pair!r} in {raw!r} is not a number"
-                    ) from err
+                        f"tenant field {pair!r} in {raw!r} is not a number: "
+                        f"{err}") from err
         tier = fields["tier"]
         if tier != int(tier):
             raise ConfigError(

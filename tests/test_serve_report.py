@@ -10,10 +10,15 @@ callers cannot edit the cache) and the engine's own request ledger.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import CompileLatencyModel
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
@@ -364,3 +369,31 @@ class TestPrefetchTerminates:
                 == report.prefetch_stats["issued"])
         assert calls[0] == report.compile_stats["jobs"]
         assert run().to_dict() == report.to_dict()
+
+
+class TestReportImports:
+    def test_serve_and_trace_reports_skip_the_experiment_harness(
+            self, tmp_path):
+        # `repro serve` and `repro trace` format tables; the table
+        # printer must not pull in repro.analysis (every experiment).
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "trace = sys.argv[1]\n"
+            "assert main(['serve', '--requests', '30', '--chips', '2',\n"
+            "             '--width', '32', '--height', '32',\n"
+            "             '--trace-out', trace]) == 0\n"
+            "assert main(['trace', trace]) == 0\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('repro.analysis'))\n"
+            "print('ANALYSIS', loaded)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "t.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "p99" in proc.stdout and "trace events" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "ANALYSIS []"
