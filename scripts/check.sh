@@ -20,6 +20,9 @@
 # `repro federate` outage run diffed for determinism (federated arm
 # fails over, naive arm strands the wave), and the ext_federation
 # experiment written under benchmarks/results/ for the CI artifact.
+# Traffic generation is pinned to golden trace digests by
+# tests/test_serve_traffic.py, and `repro serve --rate nan` must exit 2
+# with an `error:` line rather than print a report or a traceback.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,13 +36,20 @@ python -m pytest --co -q > /dev/null
 python -m pytest -x -q
 python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_predictive.py tests/test_serve_faults.py \
-  tests/test_serve_federation.py tests/test_artifact_durability.py
+  tests/test_serve_federation.py tests/test_artifact_durability.py \
+  tests/test_serve_traffic.py
 python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
 python -m pytest -q benchmarks/test_engine_perf.py
 LIBDIR="$(mktemp -d)"
 trap 'rm -rf "$LIBDIR"' EXIT
 python -m repro serve --requests 50 --chips 2 --width 320 --height 180
+# A non-finite traffic input fails cleanly: exit 2 and an `error:` line.
+status=0
+python -m repro serve --requests 10 --rate nan 2> "$LIBDIR/rate_nan.err" \
+  || status=$?
+test "$status" -eq 2
+grep -q '^error: ' "$LIBDIR/rate_nan.err"
 python -m repro serve --requests 40 --chips 3 --min-chips 1 \
   --traffic bursty --width 320 --height 180 \
   --autoscale --admission slo-shed --fleet-spec '2*1x1,1*2x2'

@@ -34,7 +34,7 @@ from repro.compile import compile_program
 from repro.core import UniRenderAccelerator
 from repro.core.config import AcceleratorConfig
 from repro.core.simulator import FrameResult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_float
 from repro.scenes import NERF_SYNTHETIC_SCENES, UNBOUNDED_360_SCENES
 
 #: Evaluation resolutions, following the paper's settings.
@@ -176,6 +176,58 @@ def scenario_points(base: dict | None = None,
                         for axis, value in zip(axes, values))
         points.append(dict(point, kind="scenario", name=name))
     return points
+
+
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _split_assignment(entry: str) -> tuple[str, str]:
+    key, sep, raw = entry.partition("=")
+    if not sep or not key or not raw:
+        raise ConfigError(f"expected KEY=VALUE, got {entry!r}")
+    return key, raw
+
+
+def _coerce_scenario_value(key: str, raw: str):
+    """Parse ``raw`` to the type of the scenario default it overrides."""
+    default = SCENARIO_DEFAULTS.get(key)
+    try:
+        if isinstance(default, bool):
+            word = raw.strip().lower()
+            if word not in _TRUE_WORDS + _FALSE_WORDS:
+                raise ValueError(
+                    f"expected one of {_TRUE_WORDS + _FALSE_WORDS}")
+            return word in _TRUE_WORDS
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return finite_float(raw)
+    except ValueError as err:
+        raise ConfigError(
+            f"sweep value {key + '=' + raw!r} is not a valid "
+            f"{type(default).__name__}: {err}") from err
+    return raw
+
+
+def parse_scenario_sweep(set_entries=(), vary_entries=()) -> list[dict]:
+    """Scenario points from ``repro sweep`` ``--set KEY=VALUE`` and
+    ``--vary KEY=V1,V2,...`` entries.
+
+    Each value is parsed to the type of the default it overrides (float
+    keys must be finite); a malformed entry, a bad value or an unknown
+    key raises :class:`ConfigError` naming it.
+    """
+    base = {}
+    for entry in set_entries:
+        key, raw = _split_assignment(entry)
+        base[key] = _coerce_scenario_value(key, raw)
+    vary = {}
+    for entry in vary_entries:
+        key, raw = _split_assignment(entry)
+        vary[key] = [_coerce_scenario_value(key, value)
+                     for value in raw.split(",")]
+    return scenario_points(base, vary)
 
 
 def _run_scenario(spec: dict):

@@ -300,30 +300,12 @@ def _cmd_sweep(args) -> int:
     from pathlib import Path
 
     from repro.analysis.runner import (
-        SCENARIO_DEFAULTS,
         experiment_points,
+        parse_scenario_sweep,
         run_sweep,
-        scenario_points,
         sweep_table,
     )
     from repro.errors import ConfigError
-
-    def parse_assignment(entry: str) -> tuple[str, str]:
-        key, sep, raw = entry.partition("=")
-        if not sep or not key or not raw:
-            raise ConfigError(f"expected KEY=VALUE, got {entry!r}")
-        return key, raw
-
-    def coerce(key: str, raw: str):
-        """Parse a value to the type of the scenario default it overrides."""
-        default = SCENARIO_DEFAULTS.get(key)
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
 
     if args.experiment:
         if args.set or args.vary:
@@ -332,19 +314,7 @@ def _cmd_sweep(args) -> int:
                 "--set/--vary apply to scenario sweeps only")
         points = experiment_points(args.experiment)
     else:
-        base: dict = {}
-        for entry in args.set or []:
-            key, raw = parse_assignment(entry)
-            base[key] = coerce(key, raw)
-        vary: dict = {}
-        for entry in args.vary or []:
-            key, raw = parse_assignment(entry)
-            # Dedupe on *parsed* values: "0.50" and "0.5" are one float,
-            # and two points with one name would collide in the
-            # name-sorted sweep merge.
-            vary[key] = list(dict.fromkeys(
-                coerce(key, value) for value in raw.split(",")))
-        points = scenario_points(base, vary)
+        points = parse_scenario_sweep(args.set or [], args.vary or [])
 
     started = time.perf_counter()
     sweep = run_sweep(points, workers=args.workers)

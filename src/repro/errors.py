@@ -47,14 +47,14 @@ class ObsError(ReproError):
     capture) was malformed or failed validation."""
 
 
-def finite_float(text: str) -> float:
+def finite_float(text: str | float) -> float:
     """``float(text)`` that also raises ``ValueError`` for NaN and the
-    infinities (``"1e400"`` included).
+    infinities (``"1e400"`` included); ``text`` may also be a number.
 
     Spec parsers call it inside their ``except ValueError`` so the
     :class:`ConfigError` they raise names the field and chains the cause.
     """
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not finite")
+        raise ValueError(f"{str(text).strip()!r} is not finite")
     return value

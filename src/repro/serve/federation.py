@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -64,7 +64,7 @@ from repro.serve.request import RenderRequest, TraceKey
 from repro.serve.scheduler import simulate_service
 from repro.serve.trace_cache import TraceCache
 from repro.serve.trace_library import TraceLibrary, TraceRecord
-from repro.serve.traffic import generate_traffic
+from repro.serve.traffic import _check_seed, _draw_stream, _merge_ranks
 
 #: Period of the diurnal traffic pattern (`traffic._diurnal_arrivals`):
 #: one compressed "day" of simulated seconds. A region at UTC+h rides
@@ -936,30 +936,22 @@ def generate_federation_traffic(
     tenant-traffic idiom) and shifts every arrival by
     ``tz_offset_h / 24`` of the diurnal period — so the planet's load
     is a rolling wave, not a synchronized pulse. Request ids are
-    renumbered globally in arrival order so the merged workload is one
-    coherent trace.
+    numbered globally in arrival order (ties: lower region index first)
+    so the merged workload is one coherent trace.
     """
-    shifted: list[tuple[float, int, int, str, RenderRequest]] = []
+    _check_seed(seed)
+    columns = []
     for index, spec in enumerate(specs):
-        stream = generate_traffic(
-            pattern=pattern,
-            n_requests=n_requests_per_region,
-            rate_rps=rate_rps,
-            seed=seed * 1_000_003 + index,
-            **traffic_kwargs,
-        )
+        stream = _draw_stream(
+            n_requests_per_region, seed * 1_000_003 + index,
+            pattern=pattern, rate_rps=rate_rps, **traffic_kwargs)
         phase_s = (spec.tz_offset_h % 24.0) / 24.0 * DIURNAL_PERIOD_S
-        for request in stream:
-            moved = (request if phase_s == 0.0 else
-                     replace(request, arrival_s=request.arrival_s + phase_s))
-            shifted.append((moved.arrival_s, index, request.request_id,
-                            spec.name, moved))
-    shifted.sort(key=lambda item: item[:3])
-    streams: "OrderedDict[str, list[RenderRequest]]" = OrderedDict(
-        (spec.name, []) for spec in specs)
-    for new_id, (_, _, _, home, request) in enumerate(shifted):
-        streams[home].append(replace(request, request_id=new_id))
-    return streams
+        np.add(stream.arrivals, phase_s, out=stream.arrivals)
+        columns.append(stream)
+    ranks = _merge_ranks([stream.arrivals for stream in columns])
+    return OrderedDict(
+        (spec.name, stream.requests(rank.tolist()))
+        for spec, stream, rank in zip(specs, columns, ranks))
 
 
 # ----------------------------------------------------------------------

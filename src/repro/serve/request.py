@@ -17,6 +17,7 @@ preempted, whether it migrated to an autoscaled chip).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -85,8 +86,12 @@ class RenderRequest:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ConfigError("request resolution must be positive")
+        if not math.isfinite(self.arrival_s):
+            raise ConfigError(f"arrival time must be finite (got {self.arrival_s!r})")
         if self.arrival_s < 0:
             raise ConfigError("arrival time cannot be negative")
+        if not math.isfinite(self.slo_s):
+            raise ConfigError(f"latency SLO must be finite (got {self.slo_s!r})")
         if self.slo_s <= 0:
             raise ConfigError("latency SLO must be positive")
 

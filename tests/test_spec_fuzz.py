@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.runner import SCENARIO_DEFAULTS, parse_scenario_sweep
 from repro.errors import ConfigError
 from repro.serve.cluster import parse_fleet_spec
 from repro.serve.faults import FaultPlan
@@ -182,6 +183,55 @@ def test_federation_plan_fuzz(spec):
         _assert_finite(window.start_s, window.end_s)
 
 
+# ----------------------------------------------------------------------
+# Sweep scenarios: repro sweep --set KEY=VALUE / --vary KEY=V1,V2
+# ----------------------------------------------------------------------
+sweep_key = st.sampled_from(sorted(SCENARIO_DEFAULTS) + ["bogus", "", " rate"])
+sweep_value = st.one_of(number, st.sampled_from(
+    ["true", "off", "Yes", "maybe", "steady", "lego,room", "a=b"]))
+
+
+def _typed_value(key):
+    """A value of the key's own type, so most sweeps parse."""
+    default = SCENARIO_DEFAULTS[key]
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "0", "On", "no"])
+    if isinstance(default, int):
+        return st.integers(0, 500).map(str)
+    if isinstance(default, float):
+        return st.floats(1e-3, 1e4).map(repr)
+    return st.sampled_from(["steady", "lego"])
+
+
+typed_key = st.sampled_from(sorted(SCENARIO_DEFAULTS))
+set_entry = st.one_of(
+    st.builds(lambda k, v: f"{k}={v}", sweep_key, sweep_value),
+    typed_key.flatmap(lambda k: _typed_value(k).map(lambda v: f"{k}={v}")))
+vary_entry = st.one_of(
+    st.builds(lambda k, vs: f"{k}=" + ",".join(vs), sweep_key,
+              st.lists(sweep_value, min_size=1, max_size=3)),
+    typed_key.flatmap(lambda k: st.lists(_typed_value(k), min_size=1,
+                                         max_size=3).map(
+        lambda vs: f"{k}=" + ",".join(vs))))
+
+def _parse_sweep(entries):
+    return parse_scenario_sweep(*entries)
+
+
+@given(st.tuples(st.lists(set_entry, max_size=3),
+                 st.lists(vary_entry, max_size=3)))
+@FUZZ
+def test_sweep_assignment_fuzz(entries):
+    points = _parse_or_config_error(_parse_sweep, entries)
+    for point in points or ():
+        for key, default in SCENARIO_DEFAULTS.items():
+            assert type(point[key]) is type(default), (key, point[key])
+            if isinstance(default, float):
+                _assert_finite(point[key])
+    if points is not None:
+        assert len({point["name"] for point in points}) == len(points)
+
+
 @pytest.mark.parametrize("parse, spec, field", [
     (parse_region_spec, "us-east:chips=nan", "chips=nan"),
     (parse_region_spec, "us-east:chips=inf", "chips=inf"),
@@ -197,6 +247,10 @@ def test_federation_plan_fuzz(spec):
     (parse_tenant_spec, "premium:weight=nan", "weight=nan"),
     (parse_tenant_spec, "premium:share=nan", "share=nan"),
     (parse_tenant_spec, "premium:tier=inf", "tier=inf"),
+    (lambda spec: parse_scenario_sweep([spec]), "rate=nan", "rate=nan"),
+    (lambda spec: parse_scenario_sweep([], [spec]), "slo_ms=1,inf",
+     "slo_ms=inf"),
+    (lambda spec: parse_scenario_sweep([spec]), "rate=abc", "rate=abc"),
 ])
 def test_non_finite_field_is_named_and_chained(parse, spec, field):
     with pytest.raises(ConfigError, match=field.replace("+", r"\+")) as info:
