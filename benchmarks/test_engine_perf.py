@@ -18,14 +18,13 @@ records its numbers in ``benchmarks/results/BENCH_engine.json``):
   req/s measured on a 1-core CI-grade box, with the *scalar* loop
   itself up ~2.4x from the arrival-array change;
 * columnar everywhere (this floor): batched trace-cache windows
-  (``get_many``), vectorized chip-score lanes, per-tier pending lanes
-  (strict-tier QoS now columnar-eligible), and a deferred-replay
-  observer buffer.
+  (``get_many``), vectorized chip-score lanes, and per-tier pending
+  lanes (strict-tier QoS now columnar-eligible).
 
 Floors assert with CI headroom; dropping below one means the hot path
 regressed structurally, not that a machine is merely slow. Modes the
-columnar gate still excludes (weighted admission/preempt, faults,
-hedging, autoscaling) anchor to ``SCALAR_FLOOR_RPS`` — the scalar
+columnar gate excludes (weighted admission/preempt, faults, hedging,
+autoscaling, an attached observer) anchor to ``SCALAR_FLOOR_RPS`` — the scalar
 loop's own floor, also asserted via the ``columnar=False`` escape
 hatch.
 """
@@ -297,13 +296,9 @@ def test_predictive_autoscaler_rate_floor(benchmark, save_text, record_bench):
 # path and must hold >= 0.97x the *new* bare floor (the columnar
 # rewrite must not reintroduce per-event observer overhead). Full
 # tracing (ring-buffer tracer + metrics registry + flight recorder,
-# sample 1.0) *also* stays columnar now: events are recorded into the
-# engine's preallocated replay buffer during the run and dispatched
-# into the sinks at finalize, so the hot loop pays an array store per
-# event instead of Python hook dispatch. End to end the replay pass is
-# still per-event Python and dominates (measured ~equal to the scalar
-# loop's inline hooks), so the floor keeps the historical half-scalar
-# anchor — the win is eligibility (one loop to trust), not yet rate.
+# sample 1.0) runs on the scalar loop, whose inline hooks are the one
+# observer path; the sinks' per-event Python dominates, so the floor
+# is half the scalar loop's.
 # ----------------------------------------------------------------------
 OBS_DISABLED_FLOOR_RPS = FLOOR_RPS * 0.97
 OBS_ENABLED_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.5
@@ -369,8 +364,8 @@ def test_full_tracing_rate_floor(benchmark, save_text, record_bench):
     assert report.n_requests == N_REQUESTS
     assert rate >= OBS_ENABLED_FLOOR_RPS, (
         f"fully traced run simulated only {rate:,.0f} req/s "
-        f"(floor {OBS_ENABLED_FLOOR_RPS:,.0f}) — the record-then-replay "
-        f"buffer has left its array-store-per-event budget"
+        f"(floor {OBS_ENABLED_FLOOR_RPS:,.0f}) — the observer hooks have "
+        f"grown past half the scalar loop's rate"
     )
 
 

@@ -13,7 +13,10 @@
 # injection and hedging, a predictive-autoscaling run that round-trips
 # a trace library through a temp dir (the second invocation must
 # warm-start from what the first one flushed), and an observability
-# run whose --trace-out artifact must schema-validate and summarize.
+# run whose --trace-out artifact must schema-validate and summarize
+# and whose report lines must match the same run without observer
+# flags (observed runs take the scalar loop, bare ones the columnar
+# loop, and the report may not tell them apart).
 # Finally, pin the sweep runner's determinism contract: the same sweep
 # run serially and across 2 worker processes must merge to
 # byte-identical JSON — then smoke the federation layer: a two-region
@@ -37,7 +40,7 @@ python -m pytest -x -q
 python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_predictive.py tests/test_serve_faults.py \
   tests/test_serve_federation.py tests/test_artifact_durability.py \
-  tests/test_serve_traffic.py
+  tests/test_serve_traffic.py tests/test_serve_combinations.py
 python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
 python -m pytest -q benchmarks/test_engine_perf.py
@@ -102,7 +105,8 @@ grep -Eq "hits, [1-9][0-9]* warm-started" "$LIBDIR/restart.txt"
 python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --traffic bursty --rate 300 --admission slo-shed \
   --trace-out "$LIBDIR/serve.trace.json" \
-  --metrics-out "$LIBDIR/metrics.csv" --flight-recorder
+  --metrics-out "$LIBDIR/metrics.csv" --flight-recorder \
+  > "$LIBDIR/observed.txt"
 python - "$LIBDIR/serve.trace.json" <<'PY'
 import sys
 from repro.obs import load_chrome_trace, validate_chrome_trace
@@ -112,6 +116,13 @@ PY
 python -m repro trace "$LIBDIR/serve.trace.json" > "$LIBDIR/trace_summary.txt"
 grep -q "trace events" "$LIBDIR/trace_summary.txt"
 head -1 "$LIBDIR/metrics.csv" | grep -q '^t_s,'
+# Observer neutrality at the CLI: the same run without observer flags
+# must print exactly the observed run's leading lines (the observed run
+# only appends its artifact summary).
+python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
+  --traffic bursty --rate 300 --admission slo-shed > "$LIBDIR/bare.txt"
+head -n "$(wc -l < "$LIBDIR/bare.txt")" "$LIBDIR/observed.txt" \
+  | diff "$LIBDIR/bare.txt" -
 
 # Parallel sweep runner: 2 configurations across 2 worker processes
 # must merge byte-identically to the serial run (seeded traces, no

@@ -477,7 +477,8 @@ class CostTable:
     """
 
     def __init__(self) -> None:
-        self._index: dict[tuple[TraceKey, AcceleratorConfig], int] = {}
+        # Row index per design point, then per trace key.
+        self._index: dict[AcceleratorConfig, dict[TraceKey, int]] = {}
         self._rows: list[tuple[float, float, float]] = []
         self._results: list[FrameResult] = []
 
@@ -485,7 +486,7 @@ class CostTable:
         return len(self._rows)
 
     def has(self, key: TraceKey, config: AcceleratorConfig) -> bool:
-        return (key, config) in self._index
+        return key in self._index.get(config, ())
 
     def price(
         self,
@@ -494,23 +495,49 @@ class CostTable:
         program,
     ) -> tuple[float, float, float]:
         """``(cycles, frame_reconfig_cycles, energy_j)`` for this pair."""
-        memo_key = (key, accelerator.config)
-        idx = self._index.get(memo_key)
+        table = self._index.get(accelerator.config)
+        if table is None:
+            table = self._index[accelerator.config] = {}
+        idx = table.get(key)
         if idx is None:
             result = accelerator.simulate(program)
             idx = len(self._rows)
-            self._index[memo_key] = idx
+            table[key] = idx
             self._rows.append(
                 (result.cycles, result.reconfig_cycles, result.energy_per_frame_j)
             )
             self._results.append(result)
         return self._rows[idx]
 
+    def price_many(
+        self,
+        keys: list[TraceKey],
+        accelerator: UniRenderAccelerator,
+        programs: list,
+    ) -> list[tuple[float, float, float]]:
+        """:meth:`price` for each frame of one batch on one chip.
+
+        The design point's table is looked up once per batch instead of
+        once per frame (hashing an :class:`AcceleratorConfig` costs more
+        than the row lookup); only keys not yet priced at this design
+        point go through :meth:`price`."""
+        table = self._index.get(accelerator.config, {})
+        rows = self._rows
+        out = []
+        for key, program in zip(keys, programs):
+            idx = table.get(key)
+            if idx is None:
+                out.append(self.price(key, accelerator, program))
+                table = self._index[accelerator.config]
+            else:
+                out.append(rows[idx])
+        return out
+
     def result_for(
         self, key: TraceKey, config: AcceleratorConfig
     ) -> Optional[FrameResult]:
         """The full FrameResult behind a priced row (timeline rendering)."""
-        idx = self._index.get((key, config))
+        idx = self._index.get(config, {}).get(key)
         return self._results[idx] if idx is not None else None
 
     def as_arrays(self) -> dict[str, np.ndarray]:
@@ -697,166 +724,6 @@ class _PendingIndex:
             list(queue) + missing, key=lambda r: (r.arrival_s, r.request_id))
         queue.clear()
         queue.extend(merged)
-
-
-# ----------------------------------------------------------------------
-# Deferred observability (the columnar loop's event buffer)
-# ----------------------------------------------------------------------
-class _ColumnarObsLog:
-    """Event buffer the columnar loop records into instead of calling
-    the observer per event.
-
-    Rows live in preallocated (kind, t, int, float) columns that double
-    on demand, plus one aligned object slot (request / response /
-    pipeline name) — the hot loop pays a handful of array stores per
-    event instead of a Python observer dispatch. :meth:`replay` then
-    drives the real :class:`~repro.obs.observer.Observer` at the end of
-    the run, firing every hook in exactly the scalar loop's call order.
-
-    Why replay is exact: each row is stamped with the scalar iteration
-    instant it would have fired at (the arrival instant for ingest
-    hooks, the dispatch instant for batch/frame hooks), and rows are
-    appended in non-decreasing stamp order with ingest-before-dispatch
-    at equal stamps — the scalar order. The scalar loop additionally
-    calls ``maybe_snapshot(now)`` once per event-loop instant; for a
-    columnar-eligible run those instants are exactly the distinct
-    arrival timestamps plus the batch-finish (chip-free) instants, both
-    of which the buffer has, so the replay interleaves snapshot calls
-    at every recorded instant strictly below the next row's stamp.
-    Duplicate snapshot calls are no-ops (the cadence gate), so the
-    dedup changes nothing. Cache hit/miss/eviction counters — live
-    mirrors on the scalar path — are unbound during the run and
-    replayed here per frame from the recorded deltas, so a mid-run
-    flight-recorder capture sees the same registry state either way.
-    """
-
-    _ARRIVE = 0
-    _ADMIT = 1
-    _SHED = 2
-    _CACHE = 3
-    _COMPILE = 4
-    _RESPONSE = 5
-    _BATCH = 6
-
-    __slots__ = ("kind", "t", "i0", "i1", "i2", "i3", "f0", "f1",
-                 "obj", "n", "finishes", "record_cache")
-
-    def __init__(self, capacity: int, record_cache: bool) -> None:
-        capacity = max(capacity, 64)
-        self.kind = np.empty(capacity, dtype=np.int8)
-        self.t = np.empty(capacity, dtype=np.float64)
-        self.i0 = np.zeros(capacity, dtype=np.int64)
-        self.i1 = np.zeros(capacity, dtype=np.int64)
-        self.i2 = np.zeros(capacity, dtype=np.int64)
-        self.i3 = np.zeros(capacity, dtype=np.int64)
-        self.f0 = np.zeros(capacity, dtype=np.float64)
-        self.f1 = np.zeros(capacity, dtype=np.float64)
-        self.obj: list[object] = []
-        self.n = 0
-        #: Batch-finish instants (the chip-free events the columnar loop
-        #: never pushes) — with the arrival column, the snapshot grid.
-        self.finishes: list[float] = []
-        self.record_cache = record_cache
-
-    def _grow(self, need: int) -> None:
-        cap = len(self.kind)
-        while cap < need:
-            cap *= 2
-        for field in ("kind", "t", "i0", "i1", "i2", "i3", "f0", "f1"):
-            old = getattr(self, field)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[:self.n] = old[:self.n]
-            setattr(self, field, new)
-
-    def append(self, kind: int, t: float, obj: object = None,
-               i0: int = 0, i1: int = 0, i2: int = 0, i3: int = 0,
-               f0: float = 0.0, f1: float = 0.0) -> None:
-        n = self.n
-        if n == len(self.kind):
-            self._grow(n + 1)
-        self.kind[n] = kind
-        self.t[n] = t
-        self.i0[n] = i0
-        self.i1[n] = i1
-        self.i2[n] = i2
-        self.i3[n] = i3
-        self.f0[n] = f0
-        self.f1[n] = f1
-        self.obj.append(obj)
-        self.n = n + 1
-
-    def append_arrivals(self, arr_np: np.ndarray, lo: int, hi: int,
-                        requests: Sequence) -> None:
-        """Bulk-record on_arrival rows for one ingest window (the
-        vectorized no-admission path)."""
-        w = hi - lo
-        n = self.n
-        if n + w > len(self.kind):
-            self._grow(n + w)
-        self.kind[n:n + w] = self._ARRIVE
-        self.t[n:n + w] = arr_np[lo:hi]
-        self.obj.extend(requests[lo:hi])
-        self.n = n + w
-
-    def replay(self, engine, arr_np: np.ndarray) -> None:
-        """Fire the recorded run into the observer, scalar order."""
-        obs = engine._obs
-        admission = engine.admission
-        metrics = obs.metrics
-        m_hits = m_misses = m_evictions = None
-        if metrics is not None:
-            m_hits = metrics.counter("cache.hits")
-            m_misses = metrics.counter("cache.misses")
-            m_evictions = metrics.counter("cache.evictions")
-        if self.finishes:
-            snap_ts = np.union1d(arr_np, np.asarray(self.finishes))
-        else:
-            snap_ts = np.unique(arr_np)
-        si = 0
-        ns = len(snap_ts)
-        kinds = self.kind
-        ts = self.t
-        objs = self.obj
-        wants = obs.wants
-        snapshot = obs.maybe_snapshot
-        for r in range(self.n):
-            t_row = ts[r]
-            while si < ns and snap_ts[si] < t_row:
-                snapshot(float(snap_ts[si]))
-                si += 1
-            kind = kinds[r]
-            if kind == self._CACHE:
-                if self.i0[r]:
-                    m_hits.inc()
-                else:
-                    m_misses.inc()
-                    if self.i1[r]:
-                        m_evictions.inc(int(self.i1[r]))
-            elif kind == self._RESPONSE:
-                resp = objs[r]
-                obs.on_response(resp, wants(resp.request.request_id))
-            elif kind == self._ARRIVE:
-                req = objs[r]
-                obs.on_arrival(float(t_row), req, wants(req.request_id))
-            elif kind == self._BATCH:
-                obs.on_batch(float(self.f0[r]), float(self.f1[r]),
-                             int(self.i0[r]), int(self.i1[r]),
-                             int(self.i2[r]), objs[r], int(self.i3[r]))
-            elif kind == self._COMPILE:
-                obs.on_compile_sync(float(self.f0[r]), float(self.f1[r]),
-                                    int(self.i0[r]), objs[r])
-            elif kind == self._ADMIT:
-                req = objs[r]
-                admission.note_verdict("admitted")
-                obs.on_admit(float(t_row), req, "admit",
-                             wants(req.request_id))
-            else:  # _SHED
-                req = objs[r]
-                admission.note_verdict("shed")
-                obs.on_shed(float(t_row), req, wants(req.request_id))
-        while si < ns:
-            snapshot(float(snap_ts[si]))
-            si += 1
 
 
 # ----------------------------------------------------------------------
@@ -1105,17 +972,16 @@ class EventEngine:
         # hedging — chaos must stay on the reference loop), synchronous
         # compile (no worker pool, no prefetch), no preemption (staging
         # reorders dispatch mid-flight), no weighted admission (its
-        # per-tenant budgets rewrite the backlog projection), and an
-        # admission policy that never rewrites requests (an unknown
-        # policy subclass conservatively falls back to scalar). Strict-
-        # tier multi-tenant traffic and an attached observer *are*
-        # eligible: tiers get their own lanes, and observability is
-        # recorded into a :class:`_ColumnarObsLog` and replayed at
-        # finalize. ``columnar=False`` is the explicit escape hatch.
-        self._price_memo: dict[int, dict[TraceKey,
-                                         tuple[float, float, float]]] = {}
+        # per-tenant budgets rewrite the backlog projection), no
+        # observer (the scalar loop's inline hooks are the one observer
+        # path), and an admission policy that never rewrites requests
+        # (an unknown policy subclass conservatively falls back to
+        # scalar). Strict-tier multi-tenant traffic *is* eligible: tiers
+        # get their own lanes. ``columnar=False`` is the explicit escape
+        # hatch.
         self._columnar = bool(
             columnar
+            and self._obs is None
             and self.autoscaler is None
             and not self.async_compile
             and self.prefetcher is None
@@ -1126,25 +992,6 @@ class EventEngine:
             and (admission is None
                  or not getattr(admission, "may_degrade", True))
         )
-        # Price-memo hygiene (both loops): an eviction may force a later
-        # recompile of the same key, and the memoized price row must not
-        # outlive the program it was priced for.
-        self.cache.on_evict = self._note_evicted
-        if self._columnar:
-            if self._obs is not None and self._obs.metrics is not None:
-                # Observability defers to the replay pass; detach the
-                # cache's live metric mirrors so the hot loop pays no
-                # per-access increments (the warm-start counts above
-                # landed live, before this point, in both run modes).
-                self.cache.unbind_metrics()
-
-    def _note_evicted(self, key: TraceKey) -> None:
-        """Cache eviction listener (columnar runs): drop the evicted
-        trace's price row from every chip's memo. A later recompile of
-        the key re-prices through the cost table instead of riding a
-        row memoized for the evicted program."""
-        for memo in self._price_memo.values():
-            memo.pop(key, None)
 
     # -- service-time estimation ---------------------------------------
     def _estimate(self, pipeline: str) -> float:
@@ -2136,9 +1983,10 @@ class EventEngine:
             else:
                 now = self._run_scalar()
         finally:
-            # A shared cache outlives this engine; don't leave the
-            # eviction listener pointing at a finished run's memo.
-            self.cache.on_evict = None
+            # A shared cache outlives this engine; a later run on it
+            # must not count into this run's metric registry.
+            if self._obs is not None and self._obs.metrics is not None:
+                self.cache.unbind_metrics()
         return self._finalize(now)
 
     def _run_scalar(self) -> float:
@@ -2249,9 +2097,10 @@ class EventEngine:
           score over :class:`ChipScoreLanes` NumPy columns instead of
           re-walking chip objects (round-robin keeps its stateful
           cluster closure).
-        * **Deferred observability** — with an observer attached, every
-          would-be hook is recorded into a :class:`_ColumnarObsLog` and
-          replayed in scalar call order after the loop drains.
+
+        An observed run never gets here: the gate sends it to
+        :meth:`_run_scalar`, whose inline hooks are the one observer
+        path.
         """
         ordered = self._arrivals
         arrival_t = self._arrival_t
@@ -2302,9 +2151,6 @@ class EventEngine:
         score = (ChipScoreLanes(chips, policy, vocab)
                  if policy in ChipScoreLanes.SUPPORTED else None)
         cost_aware = policy == "cost-aware"
-        obs = self._obs
-        log = (_ColumnarObsLog(2 * n, obs.metrics is not None)
-               if obs is not None else None)
 
         i = 0
         now = 0.0
@@ -2323,8 +2169,6 @@ class EventEngine:
                     hi = int(arr_np.searchsorted(bound, side="right"))
                     # -- ingest the arrival window [i, hi) --------------
                     if admission is None:
-                        if log is not None:
-                            log.append_arrivals(arr_np, i, hi, ordered)
                         if hi - i >= 64:
                             window = lane_code[i:hi]
                             for code in np.unique(window):
@@ -2346,8 +2190,6 @@ class EventEngine:
                         for j in range(i, hi):
                             request = ordered[j]
                             at = arrival_t[j]
-                            if log is not None:
-                                log.append(log._ARRIVE, at, request)
                             projected = self._project_wait(request, at)
                             verdict = admission.admit(
                                 request, at, projected,
@@ -2357,11 +2199,7 @@ class EventEngine:
                             if verdict is None:
                                 shed.append(ShedRecord(
                                     request, at, admission.name, projected))
-                                if log is not None:
-                                    log.append(log._SHED, at, request)
                                 continue
-                            if log is not None:
-                                log.append(log._ADMIT, at, request)
                             name = pipes[j]
                             lanes[lane_code[j]].append(j)
                             if multi_tier:
@@ -2434,31 +2272,26 @@ class EventEngine:
                 else:
                     chip = cluster.select_chip(batch, now, est_s)
                 start = now if now >= chip.free_at_s else chip.free_at_s
-                self._execute_columnar(chip, batch, start, now, log)
+                self._execute_columnar(chip, batch, start, now)
                 if score is not None:
                     score.note_dispatch(chip.chip_id, pipe_code,
                                         chip.free_at_s)
-        if log is not None:
-            log.replay(self, arr_np)
         return now
 
     def _execute_columnar(self, chip: ChipState, batch: Batch,
-                          start_s: float, dispatched_s: float,
-                          log: "Optional[_ColumnarObsLog]" = None) -> None:
+                          start_s: float, dispatched_s: float) -> None:
         """Batch execution for the columnar path — the scalar pricing
         loop with every disarmed feature's branches deleted, float
         operation order intact. The batch's trace keys resolve through
         one :meth:`TraceCache.get_many` pass (byte-identical ordering
         to per-frame ``get`` calls, which run strictly back to back in
-        the scalar loop anyway), the pipeline switch is hoisted (only a
-        batch's first frame can switch; ``cycles + 0.0`` is bitwise
+        the scalar loop anyway) and are priced through one
+        :meth:`CostTable.price_many` pass, the pipeline switch is
+        hoisted (only a batch's first frame can switch; ``cycles + 0.0`` is bitwise
         ``cycles``), per-chip counters accumulate through locals seeded
-        from — and written back to — the chip fields in the same order,
-        and priced rows memoize per chip so repeat frames skip the
-        cost table's config hashing. No chip-free event is pushed: the
-        columnar loop recomputes the fleet's earliest free instant.
-        With ``log`` attached, every would-be observer hook lands in
-        the buffer for the deferred replay instead of firing here."""
+        from — and written back to — the chip fields in the same order.
+        No chip-free event is pushed: the columnar loop recomputes the
+        fleet's earliest free instant."""
         cache = self.cache
         cost = self._cost
         accelerator = chip.accelerator
@@ -2466,15 +2299,14 @@ class EventEngine:
         latency_model = self.latency_model
         responses = self._responses
         est = self._est_by_pipeline
-        memo = self._price_memo.get(chip.chip_id)
-        if memo is None:
-            memo = self._price_memo[chip.chip_id] = {}
         chip_id = chip.chip_id
         batch_id = batch.batch_id
         requests = batch.requests
         pipeline = requests[0].pipeline
-        accesses = cache.get_many([r.trace_key for r in requests])
-        record_cache = log is not None and log.record_cache
+        keys = [r.trace_key for r in requests]
+        accesses = cache.get_many(keys)
+        priced = cost.price_many(
+            keys, accelerator, [program for program, _, _ in accesses])
         switch = 0.0
         if chip.configured_pipeline != pipeline:
             switch = float(chip.config.reconfigure_cycles)
@@ -2486,8 +2318,8 @@ class EventEngine:
         reconfig_total = chip.frame_reconfig_cycles
         energy_total = chip.energy_j
         t = start_s
-        for request, access in zip(requests, accesses):
-            program, cache_hit, cost_s, n_evicted = access
+        for request, access, row in zip(requests, accesses, priced):
+            _, cache_hit, cost_s = access
             compile_wait = 0.0
             origin = None
             if not cache_hit and latency_model is not None:
@@ -2496,13 +2328,6 @@ class EventEngine:
                 # loop reads back via ``cache.compile_cost_s``.
                 compile_wait = cost_s
                 origin = "sync"
-            if record_cache:
-                log.append(log._CACHE, dispatched_s,
-                           i0=cache_hit, i1=n_evicted)
-            key = request.trace_key
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = cost.price(key, accelerator, program)
             cycles, reconfig_cycles, energy_j = row
             service = (cycles + switch) / clock
             finish = t + compile_wait + service
@@ -2522,11 +2347,6 @@ class EventEngine:
                 dispatched_s=dispatched_s,
             )
             responses.append(response)
-            if log is not None:
-                if origin == "sync" and compile_wait > 0.0:
-                    log.append(log._COMPILE, dispatched_s, pipeline,
-                               i0=chip_id, f0=t, f1=t + compile_wait)
-                log.append(log._RESPONSE, dispatched_s, response)
             served += 1
             frame_cycles += cycles
             switch_cycles += switch
@@ -2547,11 +2367,6 @@ class EventEngine:
         chip.energy_j = energy_total
         chip.busy_s += t - start_s
         chip.free_at_s = t
-        if log is not None:
-            log.append(log._BATCH, dispatched_s, pipeline,
-                       i0=chip_id, i1=batch_id, i2=len(requests),
-                       i3=requests[0].tenant.tier, f0=start_s, f1=t)
-            log.finishes.append(t)
 
     def _finalize(self, now: float) -> ServiceReport:
         pending = self._pending

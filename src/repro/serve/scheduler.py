@@ -113,11 +113,10 @@ def simulate_service(
     ``columnar`` (default ``True``) lets eligible configurations — a
     static fleet with synchronous compile and a non-rewriting admission
     policy, including strict-tier multi-tenant traffic (tiers without
-    weighted budgets or preemption) and fully observed runs (events are
-    buffered and replayed into the sinks at finalize) — take the
-    engine's columnar fast loop. Autoscaling, faults, hedging,
-    weighted admission, preemption, and async compile/prefetch still
-    force the scalar reference loop. The report is byte-identical
+    weighted budgets or preemption) — take the engine's columnar fast
+    loop. Autoscaling, faults, hedging, weighted admission, preemption,
+    async compile/prefetch, and an attached observer force the scalar
+    reference loop. The report is byte-identical
     either way (pinned by the equivalence suite); ``columnar=False``
     is the explicit escape hatch forcing the scalar event loop.
     """

@@ -121,12 +121,6 @@ class TraceCache:
         self._m_misses = None
         self._m_evictions = None
         self._m_warmed = None
-        #: Optional eviction listener, called with each evicted key the
-        #: moment it leaves the cache. The event engine uses it to drop
-        #: per-chip price-memo rows whose trace may be recompiled later
-        #: (a recompile must re-price through the cost table, never ride
-        #: a row memoized for the evicted program).
-        self.on_evict: Optional[Callable[[TraceKey], None]] = None
 
     def bind_metrics(self, registry) -> None:
         """Mirror hit/miss/eviction/warm counters into an observability
@@ -141,10 +135,9 @@ class TraceCache:
     def unbind_metrics(self) -> None:
         """Detach the live metric mirrors (registry counters survive).
 
-        The columnar engine defers observability to a replay pass: it
-        unbinds the mirrors so the hot loop pays no per-access metric
-        increments, then replays the recorded hit/miss/eviction deltas
-        into the registry counters in scalar order at finalize."""
+        A cache may be shared across runs. The event engine unbinds the
+        mirrors when an observed run ends, so a later run on the same
+        cache never counts into the finished run's registry."""
         self._m_hits = None
         self._m_misses = None
         self._m_evictions = None
@@ -195,15 +188,13 @@ class TraceCache:
 
     def get_many(
         self, keys: Sequence[TraceKey]
-    ) -> list[tuple[MicroOpProgram, bool, float, int]]:
+    ) -> list[tuple[MicroOpProgram, bool, float]]:
         """Resolve a window of keys in one pass; byte-identical to
         calling :meth:`get` for each key in order.
 
-        Returns one ``(program, cache_hit, cost_s, n_evicted)`` tuple
-        per key: ``cost_s`` is the simulated compile latency charged (on
-        a miss) or credited to ``compile_s_saved`` (on a hit), and
-        ``n_evicted`` the number of evictions that miss triggered — the
-        columnar engine replays both into the observability registry.
+        Returns one ``(program, cache_hit, cost_s)`` tuple per key:
+        ``cost_s`` is the simulated compile latency charged (on a miss)
+        or credited to ``compile_s_saved`` (on a hit).
 
         Hits defer their LRU ``move_to_end`` into a pending-touch set so
         a key hit k times in a window costs one reorder, not k. The set
@@ -217,7 +208,7 @@ class TraceCache:
         hits_by_key = self.hits_by_key
         cost_of = self._compile_cost_s
         pending_touch: dict[TraceKey, bool] = {}
-        out: list[tuple[MicroOpProgram, bool, float, int]] = []
+        out: list[tuple[MicroOpProgram, bool, float]] = []
         for key in keys:
             if key in entries:
                 if key in pending_touch:
@@ -229,7 +220,7 @@ class TraceCache:
                 hits_by_key[key] = hits_by_key.get(key, 0) + 1
                 cost = cost_of.get(key, 0.0)
                 stats.compile_s_saved += cost
-                out.append((entries[key], True, cost, 0))
+                out.append((entries[key], True, cost))
                 continue
             # Miss: restore true LRU order before the admit can evict.
             if pending_touch:
@@ -245,9 +236,8 @@ class TraceCache:
             if self._m_misses is not None:
                 self._m_misses.inc()
             self._account_compile(key, sim, wall)
-            evictions_before = stats.evictions
             self._admit(key, program)
-            out.append((program, False, sim, stats.evictions - evictions_before))
+            out.append((program, False, sim))
         if pending_touch:
             for touched in pending_touch:
                 entries.move_to_end(touched)
@@ -334,8 +324,6 @@ class TraceCache:
                 self.stats.evictions += 1
                 if self._m_evictions is not None:
                     self._m_evictions.inc()
-                if self.on_evict is not None:
-                    self.on_evict(evicted)
         return out
 
     def clear(self) -> None:

@@ -179,3 +179,28 @@ class TestChaosNeutrality:
         assert any(r.startswith("chip-crash") for r in reasons)
         # ...and none of it moved a single number.
         assert serialized(bare) == serialized(observed)
+
+
+class TestSharedCacheMetrics:
+    """A cache shared across runs must stop counting into an observed
+    run's registry once that run ends: a later unobserved run on the
+    same cache leaves the finished run's metrics untouched."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_later_run_does_not_count_into_finished_registry(self, columnar):
+        trace = generate_traffic("bursty", n_requests=100, rate_rps=4000.0,
+                                 seed=3, resolution=(64, 64), slo_s=0.002)
+        cache = TraceCache(capacity=4,
+                           compile_fn=lambda key: stub_program(key[1]))
+        observer = full_observer()
+        simulate_service(trace, ServeCluster(2), cache=cache,
+                         batcher=PipelineBatcher(), observer=observer,
+                         columnar=columnar)
+        metrics = observer.metrics
+        names = ("cache.hits", "cache.misses", "cache.evictions")
+        before = {name: metrics.counter(name).value for name in names}
+        assert before["cache.hits"] > 0
+        simulate_service(trace, ServeCluster(2), cache=cache,
+                         batcher=PipelineBatcher(), columnar=columnar)
+        assert cache.stats.hits > before["cache.hits"]
+        assert {name: metrics.counter(name).value for name in names} == before

@@ -8,10 +8,10 @@ identity*: for every configuration the fast path accepts, its
 ``ServiceReport.to_dict()`` must serialize identically to the scalar
 loop's — same floats, same ordering, same everything. This suite pins
 that contract scenario by scenario — including the widened eligibility
-matrix (strict-tier multi-tenant lanes, the deferred-replay observer
-buffer, the vectorized chip-score lanes) — pins the eligibility gate
-itself, pins the chaos/hedge/preempt fallbacks byte for byte, and pins
-the :meth:`TraceCache.get_many` batched-lookup equivalence.
+matrix (strict-tier multi-tenant lanes, the vectorized chip-score
+lanes) — pins the eligibility gate itself (an observer forces the
+scalar loop), pins the chaos/hedge/preempt fallbacks byte for byte,
+and pins the :meth:`TraceCache.get_many` batched-lookup equivalence.
 """
 
 import json
@@ -65,25 +65,6 @@ def tenant_trace(mix=None, n=160, rate=600.0, seed=3, slo=0.02):
 
 def canon(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
-
-
-def full_observer():
-    from repro.obs import FlightRecorder, MetricsRegistry, Observer, Tracer
-
-    return Observer(tracer=Tracer(), metrics=MetricsRegistry(),
-                    flight=FlightRecorder())
-
-
-def canon_observer(obs) -> str:
-    """Every observer artifact, serialized: trace events, the metric
-    registry (cumulative values and the snapshot timeline), and the
-    flight recorder's frozen dumps."""
-    return json.dumps({
-        "tracer": [list(event) for event in obs.tracer.events()],
-        "metrics": obs.metrics.flatten(),
-        "timeline": obs.metrics.timeline,
-        "flight": obs.flight.to_dict(),
-    }, sort_keys=True, default=repr)
 
 
 def run_both(requests, chips=2, **kwargs):
@@ -176,8 +157,8 @@ class TestByteIdentity:
         assert canon(reports[0]) == canon(reports[1])
 
     def test_eviction_storm(self):
-        # A 3-entry cache against 8 scenes: evictions (and price-memo
-        # invalidations) on nearly every window.
+        # A 3-entry cache against 8 scenes: evictions on nearly every
+        # window.
         storm = trace(n=300, rate=5000.0, seed=9,
                       scenes=tuple(f"s{i}" for i in range(8)))
         reports = [
@@ -188,37 +169,6 @@ class TestByteIdentity:
         ]
         assert reports[0].cache_stats["evictions"] > 0
         assert canon(reports[0]) == canon(reports[1])
-
-    def test_observer_artifacts_identical(self):
-        # Full observability sink (tracer + metrics + flight recorder):
-        # the deferred-replay buffer must reproduce every artifact the
-        # scalar loop's inline hooks would have produced — trace events,
-        # counter values, the snapshot timeline, flight dumps.
-        results = {}
-        for flag in (True, False):
-            obs = full_observer()
-            report = simulate_service(
-                trace(n=200, rate=3000.0), ServeCluster(2),
-                cache=stub_cache(), batcher=PipelineBatcher(),
-                observer=obs, compile_latency=MODEL, columnar=flag)
-            results[flag] = (canon(report), canon_observer(obs))
-        assert results[True] == results[False]
-
-    def test_observer_with_shedding_identical(self):
-        # SHED/ADMIT replay rows plus flight-recorder shed-burst
-        # triggers, on a tiered trace.
-        results = {}
-        for flag in (True, False):
-            obs = full_observer()
-            report = simulate_service(
-                tenant_trace(rate=6000.0, slo=0.002), ServeCluster(1),
-                cache=stub_cache(), batcher=PipelineBatcher(),
-                admission=make_admission_policy("slo-shed"),
-                observer=obs, columnar=flag)
-            results[flag] = (report.n_shed, canon(report),
-                             canon_observer(obs))
-        assert results[True][0] > 0
-        assert results[True] == results[False]
 
     def test_escape_hatch_is_default_off_path(self):
         # simulate_service(columnar=False) must take the scalar loop
@@ -278,12 +228,17 @@ class TestEligibilityGate:
     def test_hedge_falls_back(self):
         assert not self.engine(hedge=HedgePolicy())._columnar
 
-    def test_observer_is_columnar(self):
-        # Observers ride the deferred-replay buffer now: full tracing no
-        # longer disqualifies the fast path.
+    def test_observer_falls_back(self):
+        # The scalar loop's inline hooks are the one observer path.
         from repro.obs import Observer, Tracer
 
-        assert self.engine(observer=Observer(tracer=Tracer()))._columnar
+        assert not self.engine(observer=Observer(tracer=Tracer()))._columnar
+
+    def test_disabled_observer_is_columnar(self):
+        # A sink-less observer normalizes to None: not an observed run.
+        from repro.obs import Observer
+
+        assert self.engine(observer=Observer())._columnar
 
     def test_multi_tier_is_columnar(self):
         # Strict-tier multi-tenant (no weights, no preempt) runs on the
@@ -391,14 +346,12 @@ class TestGetMany:
                       for _ in range(rng.randint(1, 10))]
             got = batched.get_many(window)
             assert len(got) == len(window)
-            for key, (_, hit, cost, n_evicted) in zip(window, got):
-                evicted0 = looped.stats.evictions
+            for key, (_, hit, cost) in zip(window, got):
                 _, ref_hit = looped.get(key)
                 assert hit == ref_hit
                 # Both a miss's charge and a hit's credit equal the
                 # key's recorded simulated compile cost.
                 assert cost == looped.compile_cost_s(key)
-                assert n_evicted == looped.stats.evictions - evicted0
             # LRU order (and therefore every future eviction victim)
             # must agree after every window.
             assert batched.keys == looped.keys
@@ -422,9 +375,11 @@ class TestGetMany:
 
 
 class TestPriceMemoEviction:
-    """Satellite bugfix: an eviction must drop the evicted trace's rows
-    from every chip's price memo — a recompile re-prices through the
-    cost table instead of riding a row memoized for the dead program."""
+    """Eviction versus pricing: a 1-entry cache alternating two traces
+    evicts and recompiles on nearly every frame. Frame prices live only
+    in the engine's :class:`CostTable`, keyed by (trace, design point),
+    so a recompile re-reads its trace's row instead of re-simulating,
+    and both loops report the same bytes."""
 
     def requests(self):
         return generate_traffic("steady", n_requests=40, rate_rps=1500.0,
@@ -445,11 +400,17 @@ class TestPriceMemoEviction:
         engine, report = self.run_engine(columnar)
         assert engine._columnar == columnar
         assert report.cache_stats["evictions"] > 0
-        # The memo may only hold rows for traces still resident: with a
-        # 1-entry cache alternating two keys, at most one row per chip.
-        for memo in engine._price_memo.values():
-            assert set(memo) <= set(engine.cache.keys)
-            assert len(memo) <= 1
+        assert len(engine.cache.keys) <= 1
+        # Recompiles never re-price: one row per distinct trace, and
+        # every frame carries its trace's row.
+        keys = {r.request.trace_key for r in report.responses}
+        assert len(engine._cost) == len(keys) == 2
+        config = engine.cluster.chips[0].config
+        for response in report.responses:
+            key = response.request.trace_key
+            assert engine._cost.has(key, config)
+            assert response.cycles == engine._cost.result_for(
+                key, config).cycles
 
     def test_reports_match_across_loops(self):
         _, columnar = self.run_engine(True)
