@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
 # errors, run the tier-1 suite (with the scheduler invariant, chaos,
-# and observability suites called out explicitly, so they still run if
-# testpaths ever change), pin the event-engine perf-smoke floors
+# observability and probe-kernel bit-identity suites called out
+# explicitly, so they still run if testpaths ever change), pin the
+# event-engine perf-smoke floors
 # (single-tenant, the multi-tenant QoS path, both autoscaler modes,
 # the observer on/off floors, and the fault path), then smoke-run the
 # serving CLI end to end — static fleet, autoscaled heterogeneous
@@ -43,6 +44,7 @@ python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_traffic.py tests/test_serve_combinations.py
 python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
+python -m pytest -q tests/test_probe_kernels.py
 python -m pytest -q benchmarks/test_engine_perf.py
 LIBDIR="$(mktemp -d)"
 trap 'rm -rf "$LIBDIR"' EXIT

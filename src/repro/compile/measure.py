@@ -6,6 +6,9 @@ the screen the meshes cover, how strongly splats overlap. We obtain them
 by rendering a small probe frame with quick-built (low-fidelity)
 representations: these statistics depend on scene *geometry*, not on how
 well the representation is trained, so the probes use minimal training.
+The 3DGS probe only plans its frames (projection, tile binning, per-tile
+sort), because every 3DGS coefficient is a count; it never blends. The
+volume pipelines probe the ground-truth field along rays instead.
 Results are cached per (scene, pipeline, probe view count).
 """
 
@@ -61,6 +64,11 @@ def measure_coeffs(scene_name: str, pipeline: str, n_views: int = 2) -> dict[str
       probe count (scale-free overlap statistic).
     * ``sort_share`` — sorted elements per pixel per visible splat.
     * ``complexity`` — the scene registry's relative complexity knob.
+
+    Results are cached per (scene, pipeline, ``n_views``). The volume
+    pipelines (``mlp``, ``lowrank``, ``hashgrid``, ``mixrt``) ignore
+    ``n_views``: their ray statistics always average the same three
+    probe views, so any ``n_views`` returns the same coefficients.
     """
     key = (scene_name, pipeline, n_views)
     if key in _CACHE:
@@ -88,7 +96,11 @@ def measure_coeffs(scene_name: str, pipeline: str, n_views: int = 2) -> dict[str
     totals: dict[str, float] = {}
     for pose in poses[:n_views]:
         camera = Camera(PROBE_SIZE, PROBE_SIZE, pose=pose)
-        _image, stats = renderer.render(camera)
+        if pipeline == "gaussian":
+            # Every 3DGS coefficient is a count: plan the tiles, skip the blend.
+            stats = renderer.plan(camera).stats
+        else:
+            _image, stats = renderer.render(camera)
         for k, v in stats.counts.items():
             totals[k] = totals.get(k, 0.0) + v
 

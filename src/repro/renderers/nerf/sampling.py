@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SceneError
-from repro.scenes.fields import SceneField, contract_unbounded
+from repro.scenes.fields import SceneField, contract_unbounded, radial_columns
 
 
 def sample_along_rays(
@@ -94,21 +94,29 @@ class OccupancyGrid:
         """Fraction of occupied cells."""
         return float(self.cells.mean())
 
-    def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Integer cell coordinates for (possibly contracted) points."""
-        unit = (points - self.lo) / (self.hi - self.lo)
-        idx = np.floor(unit * self.resolution).astype(np.int64)
-        return np.clip(idx, 0, self.resolution - 1)
+    def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer cell coordinates ``(ix, iy, iz)`` of (possibly
+        contracted) ``(..., 3)`` points; indexes :attr:`cells` directly."""
+        span = self.hi - self.lo
+        return tuple(
+            np.clip(
+                np.floor((col - lo) / extent * self.resolution).astype(np.int64),
+                0,
+                self.resolution - 1,
+            )
+            for col, lo, extent in zip(np.moveaxis(points, -1, 0), self.lo, span)
+        )
 
     def query(self, points: np.ndarray, already_contracted: bool = False) -> np.ndarray:
         """True where a world-space point may contain matter."""
         points = np.asarray(points, dtype=np.float64)
         if self.contracted and not already_contracted:
             points = contract_unbounded(points)
-        inside = np.all((points >= self.lo) & (points <= self.hi), axis=-1)
-        idx = self.cell_index(points)
-        hit = self.cells[idx[..., 0], idx[..., 1], idx[..., 2]]
-        return hit & inside
+        hit = self.cells[self.cell_index(points)]
+        for col, lo, hi in zip(np.moveaxis(points, -1, 0), self.lo, self.hi):
+            hit &= col >= lo
+            hit &= col <= hi
+        return hit
 
     def storage_bytes(self) -> int:
         """One bit per cell, as shipped with real models."""
@@ -158,9 +166,13 @@ def importance_sample(
 
 def _uncontract(points: np.ndarray) -> np.ndarray:
     """Inverse of :func:`~repro.scenes.fields.contract_unbounded`."""
-    norms = np.linalg.norm(points, axis=-1, keepdims=True)
+    points = np.asarray(points, dtype=np.float64)
+    x, y, z, norms = radial_columns(points)
     safe = np.maximum(norms, 1e-12)
     # |y| = 2 - 1/|x|  =>  |x| = 1 / (2 - |y|)
     inv = 1.0 / np.maximum(2.0 - safe, 1e-6)
-    outside = (points / safe) * inv
-    return np.where(norms <= 1.0, points, outside)
+    inside = norms <= 1.0
+    out = np.empty_like(points)
+    for axis, col in enumerate((x, y, z)):
+        out[..., axis] = np.where(inside, col, (col / safe) * inv)
+    return out

@@ -21,6 +21,17 @@ from repro.scenes.primitives import Primitive
 EMPTY_DENSITY = 1e-3
 
 
+def radial_columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y, z columns of ``(..., 3)`` points and each point's norm.
+
+    The norm takes the products and left-to-right sum of
+    ``np.linalg.norm(points, axis=-1)``, so it is bit-identical to it,
+    but three column passes skip NumPy's slow reduction over 3-wide rows.
+    """
+    x, y, z = np.moveaxis(points, -1, 0)
+    return x, y, z, np.sqrt(x * x + y * y + z * z)
+
+
 def contract_unbounded(points: np.ndarray) -> np.ndarray:
     """Mip-NeRF-360 scene contraction used by unbounded pipelines [8].
 
@@ -30,10 +41,14 @@ def contract_unbounded(points: np.ndarray) -> np.ndarray:
     content still lands inside a finite grid.
     """
     points = np.asarray(points, dtype=np.float64)
-    norms = np.linalg.norm(points, axis=-1, keepdims=True)
+    x, y, z, norms = radial_columns(points)
     safe = np.maximum(norms, 1e-12)
-    contracted = (2.0 - 1.0 / safe) * (points / safe)
-    return np.where(norms <= 1.0, points, contracted)
+    scale = 2.0 - 1.0 / safe
+    inside = norms <= 1.0
+    out = np.empty_like(points)
+    for axis, col in enumerate((x, y, z)):
+        out[..., axis] = np.where(inside, col, scale * (col / safe))
+    return out
 
 
 class SceneField:

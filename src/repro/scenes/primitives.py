@@ -21,17 +21,6 @@ def _as_vec3(value) -> np.ndarray:
     return arr
 
 
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an ``(N, 3)`` array.
-
-    The same products and left-to-right sum as ``np.linalg.norm(v,
-    axis=1)``, so the result is bit-identical, but three column passes
-    skip NumPy's slow axis-1 reduction over 3-wide rows.
-    """
-    x, y, z = v.T
-    return np.sqrt(x * x + y * y + z * z)
-
-
 @dataclass
 class Primitive:
     """Base class: a blob of matter with a signed distance and an albedo.
@@ -75,15 +64,26 @@ class Primitive:
 
     # -- geometry -------------------------------------------------------
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance from each point to the primitive surface."""
+        """Signed distance from each point to the primitive surface.
+
+        Returns a fresh array (never a view of ``points``): ``density``
+        overwrites it in place.
+        """
         raise NotImplementedError
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """Volumetric density contribution: high inside, ~0 outside."""
-        d = self.sdf(np.asarray(points, dtype=np.float64))
+        z = self.sdf(np.asarray(points, dtype=np.float64))
         # Sigmoid falloff across the surface; clip the exponent for safety.
-        z = np.clip(-d / self.softness, -60.0, 60.0)
-        return self.density_scale / (1.0 + np.exp(-z))
+        # In place on the fresh sdf array, in the order of
+        # ``scale / (1 + exp(-clip(-d / softness, -60, 60)))``.
+        np.negative(z, out=z)
+        z /= self.softness
+        np.clip(z, -60.0, 60.0, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(self.density_scale, z, out=z)
 
     # -- appearance ------------------------------------------------------
     def color(self, points: np.ndarray, view_dirs: np.ndarray | None = None) -> np.ndarray:
@@ -110,7 +110,22 @@ class Sphere(Primitive):
     radius: float = 0.3
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        return _row_norm(points - self.center) - self.radius
+        # |p - c| over the three columns: the products and left-to-right
+        # sum of ``np.linalg.norm(p - c, axis=1)``, without its slow
+        # axis-1 reduction over 3-wide rows.
+        x, y, z = points.T
+        cx, cy, cz = self.center
+        d = x - cx
+        d *= d
+        dy = y - cy
+        dy *= dy
+        d += dy
+        dy = np.subtract(z, cz, out=dy)
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        d -= self.radius
+        return d
 
     def bounding_radius(self) -> float:
         return self.radius
@@ -127,11 +142,25 @@ class Box(Primitive):
             raise SceneError("box half extents must be positive")
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        q = np.abs(points - self.center) - self.half_extents
-        qx, qy, qz = q.T
-        outside = _row_norm(np.maximum(q, 0.0))
-        inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
-        return outside + inside
+        # q = |p - c| - h per column; outside = |max(q, 0)| and inside =
+        # min(max(qx, qy, qz), 0), each in the order of the row form.
+        x, y, z = points.T
+        (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
+        qx, qy, qz = x - cx, y - cy, z - cz
+        for q, h in ((qx, hx), (qy, hy), (qz, hz)):
+            np.abs(q, out=q)
+            q -= h
+        inside = np.maximum(qx, qy)
+        np.maximum(inside, qz, out=inside)
+        np.minimum(inside, 0.0, out=inside)
+        for q in (qx, qy, qz):
+            np.maximum(q, 0.0, out=q)
+            q *= q
+        qx += qy
+        qx += qz
+        outside = np.sqrt(qx, out=qx)
+        outside += inside
+        return outside
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.half_extents))
@@ -143,9 +172,23 @@ class Torus(Primitive):
     minor_radius: float = 0.08
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        local = points - self.center
-        ring = np.sqrt(local[:, 0] ** 2 + local[:, 1] ** 2) - self.major_radius
-        return np.sqrt(ring**2 + local[:, 2] ** 2) - self.minor_radius
+        # ring = sqrt(lx^2 + ly^2) - R; d = sqrt(ring^2 + lz^2) - r.
+        x, y, z = points.T
+        cx, cy, cz = self.center
+        ring = x - cx
+        ring *= ring
+        tmp = y - cy
+        tmp *= tmp
+        ring += tmp
+        np.sqrt(ring, out=ring)
+        ring -= self.major_radius
+        ring *= ring
+        tmp = np.subtract(z, cz, out=tmp)
+        tmp *= tmp
+        ring += tmp
+        np.sqrt(ring, out=ring)
+        ring -= self.minor_radius
+        return ring
 
     def bounding_radius(self) -> float:
         return self.major_radius + self.minor_radius
@@ -157,12 +200,31 @@ class Cylinder(Primitive):
     half_height: float = 0.3
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        local = points - self.center
-        radial = np.sqrt(local[:, 0] ** 2 + local[:, 1] ** 2) - self.radius
-        axial = np.abs(local[:, 2]) - self.half_height
-        outside = np.sqrt(np.maximum(radial, 0.0) ** 2 + np.maximum(axial, 0.0) ** 2)
-        inside = np.minimum(np.maximum(radial, axial), 0.0)
-        return outside + inside
+        # radial = sqrt(lx^2 + ly^2) - r, axial = |lz| - h; outside =
+        # sqrt(max(radial, 0)^2 + max(axial, 0)^2), inside =
+        # min(max(radial, axial), 0).
+        x, y, z = points.T
+        cx, cy, cz = self.center
+        radial = x - cx
+        radial *= radial
+        axial = y - cy
+        axial *= axial
+        radial += axial
+        np.sqrt(radial, out=radial)
+        radial -= self.radius
+        axial = np.subtract(z, cz, out=axial)
+        np.abs(axial, out=axial)
+        axial -= self.half_height
+        inside = np.maximum(radial, axial)
+        np.minimum(inside, 0.0, out=inside)
+        np.maximum(radial, 0.0, out=radial)
+        radial *= radial
+        np.maximum(axial, 0.0, out=axial)
+        axial *= axial
+        radial += axial
+        outside = np.sqrt(radial, out=radial)
+        outside += inside
+        return outside
 
     def bounding_radius(self) -> float:
         return float(np.hypot(self.radius, self.half_height))

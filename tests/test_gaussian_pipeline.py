@@ -17,8 +17,10 @@ from repro.renderers.gaussian import (
 )
 from repro.renderers.gaussian.gaussians import quaternion_to_rotation
 from repro.renderers.gaussian.sh import fit_sh, n_coeffs
+from repro.compile.measure import _PROBE_BUILD_KWARGS
+from repro.renderers import make_renderer
 from repro.renderers.gaussian.splat import assign_tiles
-from repro.scenes import Camera, look_at
+from repro.scenes import Camera, get_scene, look_at, orbit_poses
 
 
 def _unit_dirs(n, seed=0):
@@ -197,3 +199,18 @@ class TestSplatting:
         )
         image, _ = GaussianRenderer(model, lego_field).render(camera)
         assert image[32, 32].mean() > 0.6  # near white splat dominates
+
+
+class TestTilePlan:
+    """The probe compile counts with ``plan`` alone; ``render`` must add
+    no counter, and change none, after the plan."""
+
+    @pytest.mark.parametrize("scene", ["lego", "room"])
+    @pytest.mark.parametrize("size", [(40, 40), (48, 32)], ids=["edge_tiles", "even_tiles"])
+    def test_plan_counts_equal_render_counts(self, scene, size):
+        renderer = make_renderer(scene, "gaussian", **_PROBE_BUILD_KWARGS["gaussian"])
+        for pose in orbit_poses(get_scene(scene).camera_radius, 3):
+            camera = Camera(*size, pose=pose)
+            _image, stats = renderer.render(camera)
+            assert renderer.plan(camera).stats.counts == stats.counts
+            assert stats.get("splat_tests") == stats.get("blend_samples") > 0

@@ -1,11 +1,13 @@
-"""The probe-compile kernels are column-form rewrites of NumPy reductions;
-they must stay bit-identical to the reductions they replaced.
+"""The probe-compile kernels are column-form, in-place rewrites of NumPy
+row reductions and broadcasts; they must stay bit-identical to the
+formulas they replaced.
 
-The reference formulas below (``np.linalg.norm`` / ``max`` over axis 1
-and a 3-operand ``einsum``) are the ones the kernels used before; the
-``measure_coeffs`` golden pins the probe coefficients as ``float.hex``
-so a last-digit drift anywhere on the probe path fails here instead of
-passing the ``rel=1e-6`` serve goldens silently.
+The reference formulas below are the ones the kernels used before:
+``np.linalg.norm`` / ``max`` over the 3-wide rows, ``(N, 3) - (3,)``
+broadcasts, the out-of-place clipped sigmoid and a 3-operand
+``einsum``. The ``measure_coeffs`` golden pins the probe coefficients
+as ``float.hex`` so a last-digit drift anywhere on the probe path fails
+here instead of passing the ``rel=1e-6`` serve goldens silently.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ import pytest
 
 from repro.compile.measure import clear_measure_cache, measure_coeffs
 from repro.renderers.gaussian.pipeline import splat_power
-from repro.scenes.primitives import Box, Sphere
+from repro.renderers.nerf.sampling import OccupancyGrid, _uncontract
+from repro.scenes import contract_unbounded, get_scene
+from repro.scenes.primitives import Box, Cylinder, FloorPlane, Sphere, Torus
 
 
 def _box_sdf_reference(box: Box, points: np.ndarray) -> np.ndarray:
@@ -27,21 +31,147 @@ def _sphere_sdf_reference(sphere: Sphere, points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - sphere.center, axis=1) - sphere.radius
 
 
+def _cylinder_sdf_reference(cyl: Cylinder, points: np.ndarray) -> np.ndarray:
+    local = points - cyl.center
+    radial = np.sqrt(local[:, 0] ** 2 + local[:, 1] ** 2) - cyl.radius
+    axial = np.abs(local[:, 2]) - cyl.half_height
+    outside = np.sqrt(np.maximum(radial, 0.0) ** 2 + np.maximum(axial, 0.0) ** 2)
+    inside = np.minimum(np.maximum(radial, axial), 0.0)
+    return outside + inside
+
+
+def _torus_sdf_reference(torus: Torus, points: np.ndarray) -> np.ndarray:
+    local = points - torus.center
+    ring = np.sqrt(local[:, 0] ** 2 + local[:, 1] ** 2) - torus.major_radius
+    return np.sqrt(ring**2 + local[:, 2] ** 2) - torus.minor_radius
+
+
+def _floor_sdf_reference(floor: FloorPlane, points: np.ndarray) -> np.ndarray:
+    return points[:, 2] - floor.center[2]
+
+
+_SDF_REFERENCE = {
+    Box: _box_sdf_reference,
+    Sphere: _sphere_sdf_reference,
+    Cylinder: _cylinder_sdf_reference,
+    Torus: _torus_sdf_reference,
+    FloorPlane: _floor_sdf_reference,
+}
+
+
+def _density_reference(prim, points: np.ndarray) -> np.ndarray:
+    d = _SDF_REFERENCE[type(prim)](prim, points)
+    z = np.clip(-d / prim.softness, -60.0, 60.0)
+    return prim.density_scale / (1.0 + np.exp(-z))
+
+
+def _field_density_reference(field, points: np.ndarray) -> np.ndarray:
+    total = np.zeros(len(points))
+    for prim in field.primitives:
+        np.maximum(total, _density_reference(prim, points), out=total)
+    return total
+
+
+def _contract_reference(points: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(points, axis=-1, keepdims=True)
+    safe = np.maximum(norms, 1e-12)
+    contracted = (2.0 - 1.0 / safe) * (points / safe)
+    return np.where(norms <= 1.0, points, contracted)
+
+
+def _uncontract_reference(points: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(points, axis=-1, keepdims=True)
+    safe = np.maximum(norms, 1e-12)
+    inv = 1.0 / np.maximum(2.0 - safe, 1e-6)
+    outside = (points / safe) * inv
+    return np.where(norms <= 1.0, points, outside)
+
+
+def _occupancy_query_reference(grid: OccupancyGrid, points: np.ndarray) -> np.ndarray:
+    if grid.contracted:
+        points = _contract_reference(points)
+    inside = np.all((points >= grid.lo) & (points <= grid.hi), axis=-1)
+    unit = (points - grid.lo) / (grid.hi - grid.lo)
+    idx = np.clip(np.floor(unit * grid.resolution).astype(np.int64), 0,
+                  grid.resolution - 1)
+    return grid.cells[idx[..., 0], idx[..., 1], idx[..., 2]] & inside
+
+
+def _edge_points(center: np.ndarray, surface: np.ndarray,
+                 rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """The shared edge cases around one primitive (or scene) ``center``,
+    given points on its surface."""
+    n = len(surface)
+    return {
+        "random": center + rng.normal(scale=2.0, size=(n, 3)),
+        "on_surface": surface,
+        "tiny": surface + rng.normal(scale=1e-12, size=(n, 3)),
+        "center": np.tile(center, (4, 1)),
+        "far": center + rng.normal(scale=1e6, size=(n, 3)),
+        "far_corners": center + rng.choice([-1e6, 1e6], size=(n, 3)),
+    }
+
+
+def _unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    unit = rng.normal(size=(n, 3))
+    return unit / np.linalg.norm(unit, axis=1, keepdims=True)
+
+
+def _surface(prim, rng: np.random.Generator, n: int = 2000) -> np.ndarray:
+    """Points on (or, for a box, on a face of) the primitive's surface."""
+    c = prim.center
+    if isinstance(prim, Sphere):
+        return c + prim.radius * _unit_vectors(rng, n)
+    if isinstance(prim, Box):
+        h = prim.half_extents
+        signs = rng.choice([-1.0, 1.0], size=(n, 3))
+        on_face = c + rng.uniform(-1.0, 1.0, size=(n, 3)) * h
+        axis = rng.integers(0, 3, size=n)
+        on_face[np.arange(n), axis] = (c + signs * h)[np.arange(n), axis]
+        return on_face
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    ring = np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
+    if isinstance(prim, Cylinder):
+        side = c + prim.radius * ring
+        side[:, 2] += rng.uniform(-1.0, 1.0, size=n) * prim.half_height
+        cap = c + rng.uniform(0.0, 1.0, size=(n, 1)) * prim.radius * ring
+        cap[:, 2] += rng.choice([-1.0, 1.0], size=n) * prim.half_height
+        return np.concatenate([side[: n // 2], cap[n // 2:]])
+    if isinstance(prim, Torus):
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        tube = (prim.major_radius + prim.minor_radius * np.cos(phi))[:, None] * ring
+        tube[:, 2] = prim.minor_radius * np.sin(phi)
+        return c + tube
+    assert isinstance(prim, FloorPlane)
+    flat = c + rng.uniform(-5.0, 5.0, size=(n, 3))
+    flat[:, 2] = c[2]
+    return flat
+
+
+PRIMITIVES = [
+    Sphere(center=[0.2, -0.7, 1.3], radius=0.3),
+    Box(center=[0.17, -0.42, 0.9], half_extents=[0.05, 0.61, 0.233]),
+    Cylinder(center=[0.0, 0.0, 0.0], radius=0.15, half_height=0.3),
+    Cylinder(center=[-1.3, 0.45, 2.125], radius=0.9, half_height=0.02),
+    Torus(center=[0.0, 0.0, 0.0], major_radius=0.3, minor_radius=0.08),
+    Torus(center=[0.6, -2.25, -0.4], major_radius=1.7, minor_radius=0.45,
+          softness=0.011, density_scale=7.5),
+    FloorPlane(center=[0.0, 0.0, -0.5]),
+    FloorPlane(center=[3.0, -1.0, 0.0625], softness=0.2),
+]
+PRIMITIVE_IDS = ["sphere", "box", "cylinder", "disc", "torus", "wide_torus",
+                 "floor", "soft_floor"]
+
+
 def _box_points(box: Box, rng: np.random.Generator) -> dict[str, np.ndarray]:
     c, h = box.center, box.half_extents
     n = 2000
     signs = rng.choice([-1.0, 1.0], size=(n, 3))
-    on_face = c + rng.uniform(-1.0, 1.0, size=(n, 3)) * h
-    axis = rng.integers(0, 3, size=n)
-    on_face[np.arange(n), axis] = (c + signs * h)[np.arange(n), axis]
     return {
-        "random": c + rng.normal(scale=2.0, size=(n, 3)),
-        "on_face": on_face,
+        **_edge_points(c, _surface(box, rng, n), rng),
         "corner": c + signs * h,
+        "near_corner": c + h + rng.normal(scale=1e-12, size=(n, 3)),
         "inside": c + rng.uniform(-1.0, 1.0, size=(n, 3)) * h,
-        "center": np.tile(c, (4, 1)),
-        "far": c + rng.normal(scale=1e6, size=(n, 3)),
-        "tiny": c + h + rng.normal(scale=1e-12, size=(n, 3)),
     }
 
 
@@ -77,6 +207,105 @@ class TestSdfKernels:
         for kind, points in sets.items():
             got = sphere.sdf(points)
             assert np.array_equal(got, _sphere_sdf_reference(sphere, points)), kind
+
+
+    @pytest.mark.parametrize("prim", PRIMITIVES, ids=PRIMITIVE_IDS)
+    def test_sdf_matches_row_form(self, prim):
+        rng = np.random.default_rng(15)
+        for kind, points in _edge_points(prim.center, _surface(prim, rng), rng).items():
+            want = _SDF_REFERENCE[type(prim)](prim, points)
+            assert np.array_equal(prim.sdf(points), want), kind
+
+
+class TestDensityKernels:
+    @pytest.mark.parametrize("prim", PRIMITIVES + BOXES,
+                             ids=PRIMITIVE_IDS + ["unit", "thin", "slab"])
+    def test_density_matches_clipped_sigmoid(self, prim):
+        rng = np.random.default_rng(16)
+        for kind, points in _edge_points(prim.center, _surface(prim, rng), rng).items():
+            want = _density_reference(prim, points)
+            assert np.array_equal(prim.density(points), want), kind
+
+    @pytest.mark.parametrize("scene", ["lego", "room"])
+    def test_scene_density_matches_reference(self, scene):
+        field = get_scene(scene).field()
+        rng = np.random.default_rng(17)
+        lo, hi = field.bounds
+        sets = {"bounds": rng.uniform(lo, hi, size=(4000, 3))}
+        for i, prim in enumerate(field.primitives):
+            for kind, points in _edge_points(prim.center, _surface(prim, rng, 200),
+                                             rng).items():
+                sets[f"{i}/{kind}"] = points
+        for kind, points in sets.items():
+            want = _field_density_reference(field, points)
+            assert np.array_equal(field.density(points), want), kind
+
+    @pytest.mark.parametrize("scene", ["lego", "room"])
+    def test_queries_leave_points_unchanged(self, scene):
+        # density() works in place on the array sdf() returns; sdf must
+        # hand back a fresh array, never a view of the caller's points.
+        field = get_scene(scene).field()
+        rng = np.random.default_rng(18)
+        points = rng.normal(scale=1.5, size=(500, 3))
+        dirs = _unit_vectors(rng, 500)
+        before = points.copy()
+        calls = [lambda: field.density(points),
+                 lambda: field.color(points, dirs),
+                 lambda: field.density_and_color(points, dirs)]
+        for prim in field.primitives:
+            calls += [lambda prim=prim: prim.sdf(points),
+                      lambda prim=prim: prim.density(points),
+                      lambda prim=prim: prim.color(points, dirs)]
+        for call in calls:
+            call()
+            assert np.array_equal(points, before)
+        for prim in field.primitives:
+            assert not np.shares_memory(prim.sdf(points), points)
+
+
+class TestContractionKernels:
+    def _points(self, rng):
+        return {
+            "random": rng.normal(scale=2.0, size=(3000, 3)),
+            "unit_sphere": _unit_vectors(rng, 1000),
+            "near_unit": _unit_vectors(rng, 1000) * (1.0 + rng.normal(scale=1e-12,
+                                                                       size=(1000, 1))),
+            "origin": np.zeros((4, 3)),
+            "tiny": rng.normal(scale=1e-13, size=(1000, 3)),
+            "far": rng.normal(scale=1e6, size=(1000, 3)),
+            "shell": _unit_vectors(rng, 1000) * rng.uniform(1.0, 2.0, size=(1000, 1)),
+        }
+
+    def test_contract_matches_row_form(self):
+        rng = np.random.default_rng(19)
+        for kind, points in self._points(rng).items():
+            assert np.array_equal(contract_unbounded(points),
+                                  _contract_reference(points)), kind
+
+    def test_uncontract_matches_row_form(self):
+        rng = np.random.default_rng(20)
+        for kind, points in self._points(rng).items():
+            assert np.array_equal(_uncontract(points),
+                                  _uncontract_reference(points)), kind
+
+    @pytest.mark.parametrize("scene", ["lego", "room"])
+    def test_occupancy_query_matches_row_form(self, scene):
+        field = get_scene(scene).field()
+        grid = OccupancyGrid(field, resolution=16)
+        rng = np.random.default_rng(21)
+        lo, hi = field.bounds
+        sets = dict(self._points(rng))
+        sets["bounds"] = rng.uniform(lo - 0.5, hi + 0.5, size=(4000, 3))
+        sets["edges"] = np.concatenate([np.stack([grid.lo, grid.hi]),
+                                        rng.choice([-2.0, -1.0, 1.0, 2.0], size=(500, 3))])
+        scene_cells = grid.cells
+        # A random pattern fills the edge cells too, so points outside
+        # the grid, which clip onto them, test the bounds check.
+        for cells in (scene_cells, rng.random(scene_cells.shape) < 0.5):
+            grid.cells = cells
+            for kind, points in sets.items():
+                assert np.array_equal(grid.query(points),
+                                      _occupancy_query_reference(grid, points)), kind
 
 
 class TestSplatKernel:
@@ -172,3 +401,9 @@ class TestMeasureCache:
         assert cached_four == fresh_four
         assert fresh_four != two
         assert measure_coeffs("lego", "mesh") == two
+
+    def test_volume_probe_ignores_n_views(self):
+        # The ray statistics always average three probe views.
+        two = dict(measure_coeffs("lego", "hashgrid"))
+        clear_measure_cache()
+        assert measure_coeffs("lego", "hashgrid", n_views=4) == two
