@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
 # errors, run the tier-1 suite (with the scheduler invariant, chaos,
-# observability and probe-kernel bit-identity suites called out
+# observability (exporter byte identity, P² bit identity) and
+# probe-kernel bit-identity suites called out
 # explicitly, so they still run if testpaths ever change), pin the
 # event-engine perf-smoke floors
 # (single-tenant, the multi-tenant QoS path, both autoscaler modes,
@@ -14,9 +15,10 @@
 # injection and hedging, a predictive-autoscaling run that round-trips
 # a trace library through a temp dir (the second invocation must
 # warm-start from what the first one flushed), and an observability
-# run whose --trace-out artifact must schema-validate and summarize
-# and whose report lines must match the same run without observer
-# flags (observed runs take the scalar loop, bare ones the columnar
+# run whose --trace-out artifact must schema-validate and summarize,
+# whose trace and metrics artifacts must come out byte-identical when
+# the run repeats, and whose report lines must match the same run
+# without observer flags (observed runs take the scalar loop, bare ones the columnar
 # loop, and the report may not tell them apart).
 # Finally, pin the sweep runner's determinism contract: the same sweep
 # run serially and across 2 worker processes must merge to
@@ -118,6 +120,14 @@ PY
 python -m repro trace "$LIBDIR/serve.trace.json" > "$LIBDIR/trace_summary.txt"
 grep -q "trace events" "$LIBDIR/trace_summary.txt"
 head -1 "$LIBDIR/metrics.csv" | grep -q '^t_s,'
+# Export determinism: the same observed run again must write both
+# artifacts byte for byte.
+python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
+  --traffic bursty --rate 300 --admission slo-shed \
+  --trace-out "$LIBDIR/serve_again.trace.json" \
+  --metrics-out "$LIBDIR/metrics_again.csv" --flight-recorder > /dev/null
+cmp "$LIBDIR/serve.trace.json" "$LIBDIR/serve_again.trace.json"
+cmp "$LIBDIR/metrics.csv" "$LIBDIR/metrics_again.csv"
 # Observer neutrality at the CLI: the same run without observer flags
 # must print exactly the observed run's leading lines (the observed run
 # only appends its artifact summary).

@@ -23,6 +23,7 @@ from repro.obs.observer import Observer, make_observer, resolve_observer
 from repro.obs.tracer import TraceEvent, Tracer
 from repro.obs.export import (
     chrome_trace,
+    chrome_trace_text,
     load_chrome_trace,
     metrics_csv,
     metrics_rows,
@@ -43,6 +44,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "chrome_trace",
+    "chrome_trace_text",
     "load_chrome_trace",
     "make_observer",
     "metrics_csv",

@@ -2,9 +2,10 @@
 
 Two consumers, two formats:
 
-* :func:`chrome_trace` turns a :class:`~repro.obs.tracer.Tracer` into a
-  Chrome trace-event JSON object (the format Perfetto and
-  ``chrome://tracing`` load): spans become ``"X"`` complete events,
+* :func:`chrome_trace_text` turns a :class:`~repro.obs.tracer.Tracer`
+  into Chrome trace-event JSON text (the format Perfetto and
+  ``chrome://tracing`` load; :func:`chrome_trace` is the same trace
+  parsed into an object): spans become ``"X"`` complete events,
   instants become ``"i"`` events, and metrics-timeline snapshots become
   ``"C"`` counter series. Tracks map onto processes/threads — one
   process per track *group* (chips, compile workers, tenant tiers, the
@@ -23,6 +24,8 @@ Two consumers, two formats:
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,93 +75,140 @@ def event_dicts(events: Iterable[TraceEvent]) -> list[dict]:
     return out
 
 
-def chrome_trace(tracer: Tracer | Iterable[TraceEvent],
-                 metrics=None) -> dict:
-    """Export events (plus an optional metrics timeline) as a Chrome
-    trace-event JSON object.
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for one scalar: ``float.__repr__`` /
+    ``int.__repr__`` for finite floats and plain ints (what the encoder
+    itself emits), the encoder for the rest (NaN, infinities, bools,
+    ``None``, subclasses)."""
+    kind = type(value)
+    if kind is float and value - value == 0.0:
+        return _float_repr(value)
+    if kind is int:
+        return _int_repr(value)
+    return json.dumps(value)
+
+
+def _json_string(cache: dict, text) -> str:
+    """``json.dumps(text)``, remembered in ``cache`` when ``text`` is a
+    plain string (the exporter encodes each distinct name once)."""
+    out = json.dumps(text)
+    if type(text) is str:
+        cache[text] = out
+    return out
+
+
+def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
+                      metrics=None) -> str:
+    """Export events (plus an optional metrics timeline) as Chrome
+    trace-event JSON text.
 
     Timestamps convert from simulated seconds to the format's
     microseconds. Events are emitted in time order regardless of
     recording order (compile spans are recorded at submit time, ahead
     of instants that precede them on the clock).
+
+    The text is written row by row, byte-identical to ``json.dumps`` of
+    the equivalent object (default separators, ASCII escapes): names
+    are encoded once per distinct string, numbers go through
+    :func:`_json_number`, and event args through ``json.dumps``. No
+    intermediate dict per event is built, which is what makes exporting
+    a full ring buffer plus a long metrics timeline cheap.
     """
     events = tracer.events() if isinstance(tracer, Tracer) else list(tracer)
-    trace_events: list[dict] = []
-    seen_tracks: set[tuple[str, int]] = set()
-
-    for event in sorted(events, key=lambda e: (e.ts_s, e.track, e.name)):
-        pid, tid = _track_pid_tid(event.track)
-        seen_tracks.add(event.track)
-        row = {
-            "name": event.name,
-            "cat": event.cat,
-            "ts": event.ts_s * 1e6,
-            "pid": pid,
-            "tid": tid,
-        }
-        if event.dur_s is not None:
-            row["ph"] = "X"
-            row["dur"] = event.dur_s * 1e6
+    dumps = json.dumps
+    number = _json_number
+    strings: dict[str, str] = {}    # name / cat -> JSON string literal
+    tracks: dict[tuple[str, int], str] = {}   # -> ', "pid": P, "tid": T'
+    rows: list[str] = []
+    for ts_s, dur_s, name, cat, track, args in sorted(
+            events, key=itemgetter(0, 4, 2)):
+        ids = tracks.get(track)
+        if ids is None:
+            pid, tid = _track_pid_tid(track)
+            ids = tracks[track] = f', "pid": {pid}, "tid": {tid}'
+        if dur_s is not None:
+            phase = f', "ph": "X", "dur": {number(dur_s * 1e6)}'
         else:
-            row["ph"] = "i"
-            row["s"] = "t"  # thread-scoped instant
-        if event.args:
-            row["args"] = dict(event.args)
-        trace_events.append(row)
+            phase = ', "ph": "i", "s": "t"'  # thread-scoped instant
+        rows.append(
+            f'{{"name": {strings.get(name) or _json_string(strings, name)}'
+            f', "cat": {strings.get(cat) or _json_string(strings, cat)}'
+            f', "ts": {number(ts_s * 1e6)}{ids}{phase}'
+            + (f', "args": {dumps(dict(args))}}}' if args else "}"))
+    seen_tracks = set(tracks)
 
     if metrics is not None:
+        heads: dict[str, str] = {}    # metric name -> row head
+        n_events = len(rows)
         for snap in metrics.timeline:
-            ts = snap["t_s"] * 1e6
+            stamp = (f', "ts": {number(snap["t_s"] * 1e6)}, '
+                     f'"pid": {TRACK_PIDS["fleet"]}, "tid": 0, '
+                     '"args": {"value": ')
             for name, value in snap.items():
                 if name == "t_s" or not isinstance(value, (int, float)):
                     continue
-                trace_events.append({
-                    "name": name,
-                    "cat": "metrics",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": TRACK_PIDS["fleet"],
-                    "tid": 0,
-                    "args": {"value": value},
-                })
-                seen_tracks.add(("fleet", 0))
+                head = heads.get(name) or _json_string(heads, name)
+                rows.append(f'{{"name": {head}, "cat": "metrics", '
+                            f'"ph": "C"{stamp}{number(value)}}}}}')
+        if len(rows) > n_events:
+            seen_tracks.add(("fleet", 0))
 
-    metadata: list[dict] = []
+    metadata: list[str] = []
     for pid in sorted({TRACK_PIDS[group] for group, _ in seen_tracks}):
-        metadata.append({
-            "name": "process_name", "ph": "M", "ts": 0.0,
-            "pid": pid, "tid": 0,
-            "args": {"name": _PROCESS_NAMES[pid]},
-        })
+        metadata.append(
+            '{"name": "process_name", "ph": "M", "ts": 0.0, '
+            f'"pid": {pid}, "tid": 0, "args": '
+            '{"name": ' + dumps(_PROCESS_NAMES[pid]) + "}}")
     for group, index in sorted(seen_tracks):
         pid, tid = _track_pid_tid((group, index))
-        metadata.append({
-            "name": "thread_name", "ph": "M", "ts": 0.0,
-            "pid": pid, "tid": tid,
-            "args": {"name": f"{group} {index}"},
-        })
+        metadata.append(
+            '{"name": "thread_name", "ph": "M", "ts": 0.0, '
+            f'"pid": {pid}, "tid": {tid}, "args": '
+            '{"name": ' + dumps(f"{group} {index}") + "}}")
 
-    out = {
-        "traceEvents": metadata + trace_events,
-        "displayTimeUnit": "ms",
-    }
+    tail = '], "displayTimeUnit": "ms"'
     if isinstance(tracer, Tracer):
-        out["otherData"] = tracer.to_dict()
-    return out
+        tail += ', "otherData": ' + dumps(tracer.to_dict())
+    return ('{"traceEvents": [' + ", ".join(metadata + rows) + tail + "}")
+
+
+def chrome_trace(tracer: Tracer | Iterable[TraceEvent],
+                 metrics=None) -> dict:
+    """:func:`chrome_trace_text` parsed back into the trace object."""
+    return json.loads(chrome_trace_text(tracer, metrics=metrics))
 
 
 def save_chrome_trace(tracer: Tracer | Iterable[TraceEvent],
                       path: str | Path, metrics=None) -> Path:
-    """Write :func:`chrome_trace` output as a JSON file."""
+    """Write :func:`chrome_trace_text` output as a JSON file."""
     path = Path(path)
-    atomic_write_text(path, json.dumps(chrome_trace(tracer, metrics=metrics)))
+    atomic_write_text(path, chrome_trace_text(tracer, metrics=metrics))
     return path
+
+
+def _is_integer(value) -> bool:
+    """An int that is not a bool (``True`` is an ``int`` subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A non-bool int, or a float that strict JSON can carry (no NaN or
+    infinity literals)."""
+    return _is_integer(value) or (isinstance(value, float)
+                                  and math.isfinite(value))
 
 
 def validate_chrome_trace(obj: dict) -> int:
     """Schema-check one Chrome trace-event object; returns the event
     count. Raises :class:`~repro.errors.ObsError` on the first
     violation — this is the CI gate on every ``--trace-out`` artifact.
+    ``ts`` / ``dur`` must be finite and non-negative (strict JSON
+    readers reject NaN and infinities) and ``pid`` / ``tid`` integers;
+    a bool is neither.
     """
     if not isinstance(obj, dict):
         raise ObsError("trace artifact must be a JSON object")
@@ -175,16 +225,16 @@ def validate_chrome_trace(obj: dict) -> int:
         if not isinstance(event.get("name"), str) or not event["name"]:
             raise ObsError(f"{where}: missing event name")
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
+        if not _is_finite_number(ts) or ts < 0:
             raise ObsError(f"{where}: bad timestamp {ts!r}")
-        if not isinstance(event.get("pid"), int):
+        if not _is_integer(event.get("pid")):
             raise ObsError(f"{where}: missing integer pid")
-        if not isinstance(event.get("tid"), int):
+        if not _is_integer(event.get("tid")):
             raise ObsError(f"{where}: missing integer tid")
         if phase == "X":
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ObsError(f"{where}: complete event needs dur >= 0")
+            if not _is_finite_number(dur) or dur < 0:
+                raise ObsError(f"{where}: complete event needs finite dur >= 0")
         if phase == "C" and "args" not in event:
             raise ObsError(f"{where}: counter event needs args")
     return len(events)

@@ -81,60 +81,96 @@ class P2Quantile:
         self.n = 0
 
     def add(self, x: float) -> None:
-        self.n += 1
+        """Fold one observation into the five markers.
+
+        Unrolled over the markers: the state is read into locals once,
+        every float operation runs in the order of the textbook loop
+        (locate the cell, shift positions, advance desired positions,
+        then adjust markers 1, 2, 3 in turn, each seeing its left
+        neighbour's new state), and the markers are written back once.
+        """
+        n = self.n = self.n + 1
         h = self._heights
-        if self.n <= 5:
+        if n <= 5:
             insort(h, x)
             return
+        h0, h1, h2, h3, h4 = h
+        p0, p1, p2, p3, p4 = self._pos
 
-        # Locate the cell and clamp the extremes.
-        if x < h[0]:
-            h[0] = x
+        # Locate the cell k (clamping the extremes) and shift the
+        # positions of every marker right of it.
+        if x < h0:
+            h0 = x
             k = 0
-        elif x >= h[4]:
-            h[4] = x
+        elif x >= h4:
+            h4 = x
             k = 3
+        elif x >= h1:
+            k = (3 if x >= h3 else 2) if x >= h2 else 1
         else:
             k = 0
-            while x >= h[k + 1]:
-                k += 1
+        if k == 0:
+            p1 += 1.0
+        if k <= 1:
+            p2 += 1.0
+        if k <= 2:
+            p3 += 1.0
+        p4 += 1.0
 
-        pos = self._pos
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        desired = self._desired
-        inc = self._inc
-        for i in range(5):
-            desired[i] += inc[i]
+        d0, d1, d2, d3, d4 = self._desired
+        i0, i1, i2, i3, i4 = self._inc
+        d0 += i0
+        d1 += i1
+        d2 += i2
+        d3 += i3
+        d4 += i4
 
         # Adjust the three interior markers toward their desired
-        # positions with the piecewise-parabolic (P²) update.
-        for i in (1, 2, 3):
-            d = desired[i] - pos[i]
-            right = pos[i + 1] - pos[i]
-            left = pos[i - 1] - pos[i]
-            if (d >= 1.0 and right > 1.0) or (d <= -1.0 and left < -1.0):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
+        # positions with the piecewise-parabolic (P²) update, falling
+        # back to linear when the parabola leaves the bracket.
+        d = d1 - p1
+        if (d >= 1.0 and p2 - p1 > 1.0) or (d <= -1.0 and p0 - p1 < -1.0):
+            step = 1.0 if d > 0 else -1.0
+            candidate = h1 + step / (p2 - p0) * (
+                (p1 - p0 + step) * (h2 - h1) / (p2 - p1)
+                + (p2 - p1 - step) * (h1 - h0) / (p1 - p0))
+            if h0 < candidate < h2:
+                h1 = candidate
+            elif step > 0:
+                h1 = h1 + step * (h2 - h1) / (p2 - p1)
+            else:
+                h1 = h1 + step * (h0 - h1) / (p0 - p1)
+            p1 += step
+        d = d2 - p2
+        if (d >= 1.0 and p3 - p2 > 1.0) or (d <= -1.0 and p1 - p2 < -1.0):
+            step = 1.0 if d > 0 else -1.0
+            candidate = h2 + step / (p3 - p1) * (
+                (p2 - p1 + step) * (h3 - h2) / (p3 - p2)
+                + (p3 - p2 - step) * (h2 - h1) / (p2 - p1))
+            if h1 < candidate < h3:
+                h2 = candidate
+            elif step > 0:
+                h2 = h2 + step * (h3 - h2) / (p3 - p2)
+            else:
+                h2 = h2 + step * (h1 - h2) / (p1 - p2)
+            p2 += step
+        d = d3 - p3
+        if (d >= 1.0 and p4 - p3 > 1.0) or (d <= -1.0 and p2 - p3 < -1.0):
+            step = 1.0 if d > 0 else -1.0
+            candidate = h3 + step / (p4 - p2) * (
+                (p3 - p2 + step) * (h4 - h3) / (p4 - p3)
+                + (p4 - p3 - step) * (h3 - h2) / (p3 - p2))
+            if h2 < candidate < h4:
+                h3 = candidate
+            elif step > 0:
+                h3 = h3 + step * (h4 - h3) / (p4 - p3)
+            else:
+                h3 = h3 + step * (h2 - h3) / (p2 - p3)
+            p3 += step
 
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
+        self._heights = [h0, h1, h2, h3, h4]
+        self._pos = [p0, p1, p2, p3, p4]
+        self._desired = [d0, d1, d2, d3, d4]
 
     def value(self) -> float:
         """The current quantile estimate (NaN before any observation).
@@ -157,8 +193,8 @@ class Histogram:
     """Streaming distribution summary: count/sum/min/max plus one
     :class:`P2Quantile` estimator per tracked quantile."""
 
-    __slots__ = ("name", "quantiles", "_estimators", "count", "total",
-                 "min", "max")
+    __slots__ = ("name", "quantiles", "fields", "_estimators", "count",
+                 "total", "min", "max")
 
     def __init__(self, name: str,
                  quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)) -> None:
@@ -167,6 +203,9 @@ class Histogram:
         self.name = name
         self.quantiles = tuple(quantiles)
         self._estimators = [P2Quantile(q) for q in self.quantiles]
+        #: Snapshot field names, in :meth:`values` order.
+        self.fields = ("count", "sum", "mean", "min", "max") + tuple(
+            f"p{q * 100:g}" for q in self.quantiles)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -196,18 +235,16 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 
+    def values(self) -> list:
+        """Snapshot values in :attr:`fields` order (zeros while empty)."""
+        if not self.count:
+            return [self.count, self.total, 0.0, 0.0, 0.0] + [0.0] * len(
+                self._estimators)
+        return [self.count, self.total, self.total / self.count, self.min,
+                self.max] + [estimator.value() for estimator in self._estimators]
+
     def snapshot(self) -> dict:
-        out = {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean if self.count else 0.0,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-        }
-        for estimator in self._estimators:
-            label = f"p{estimator.q * 100:g}"
-            out[label] = estimator.value() if self.count else 0.0
-        return out
+        return dict(zip(self.fields, self.values()))
 
 
 class MetricsRegistry:
@@ -223,6 +260,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # (name, metric, flattened keys or None) in name order; rebuilt
+        # by flatten only after a new metric registers.
+        self._ordered: Optional[list[tuple]] = None
         self.timeline: list[dict] = []
 
     def __len__(self) -> int:
@@ -241,6 +281,7 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = kind(name, **kwargs)
+            self._ordered = None
         elif not isinstance(metric, kind):
             raise ConfigError(
                 f"metric {name!r} already registered as "
@@ -260,21 +301,28 @@ class MetricsRegistry:
         return self._register(name, Histogram, quantiles=quantiles)
 
     # -- snapshots ------------------------------------------------------
+    def _flatten_into(self, row: dict) -> dict:
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = [
+                (name, metric,
+                 tuple(f"{name}.{field}" for field in metric.fields)
+                 if isinstance(metric, Histogram) else None)
+                for name, metric in sorted(self._metrics.items())
+            ]
+        for name, metric, keys in ordered:
+            if keys is None:
+                row[name] = metric.value
+            else:
+                row.update(zip(keys, metric.values()))
+        return row
+
     def flatten(self) -> dict:
         """Current values as one flat, name-sorted dict."""
-        row: dict = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                for field, value in metric.snapshot().items():
-                    row[f"{name}.{field}"] = value
-            else:
-                row[name] = metric.value
-        return row
+        return self._flatten_into({})
 
     def snapshot(self, t_s: float) -> dict:
         """Record (and return) the timeline row at simulated ``t_s``."""
-        row = {"t_s": t_s}
-        row.update(self.flatten())
+        row = self._flatten_into({"t_s": t_s})
         self.timeline.append(row)
         return row

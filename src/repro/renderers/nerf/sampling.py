@@ -39,7 +39,13 @@ def sample_along_rays(
         ts = mids[None, :] + jitter
     else:
         ts = np.broadcast_to(mids, (len(origins), n_samples))
-    points = origins[:, None, :] + dirs[:, None, :] * ts[..., None]
+    # origin + dir * t, one (rays, samples) column per axis: a
+    # broadcast against the 3-wide last axis runs 3-element inner loops.
+    points = np.empty((len(origins), n_samples, 3))
+    for axis in range(3):
+        column = points[..., axis]
+        np.multiply(dirs[:, axis, None], ts, out=column)
+        column += origins[:, axis, None]
     return points, dt
 
 
@@ -69,23 +75,33 @@ class OccupancyGrid:
             lo, hi = field.bounds
         self.lo, self.hi = np.asarray(lo, float), np.asarray(hi, float)
 
-        # Probe each cell at supersample^3 jittered points.
+        # Probe each cell at supersample^3 jittered points. Cell centres
+        # in meshgrid "ij" order (x slowest), one column per axis, and
+        # world = lo + (centre + jitter) * (hi - lo) per column, written
+        # into the rows of a (3, cells) buffer whose transpose is the
+        # (cells, 3) query: the density kernels read columns.
         lin = (np.arange(resolution) + 0.5) / resolution
-        grid = np.stack(
-            np.meshgrid(lin, lin, lin, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        occupied = np.zeros(len(grid), dtype=bool)
+        n_cells = resolution**3
+        centres = (np.repeat(lin, resolution * resolution),
+                   np.tile(np.repeat(lin, resolution), resolution),
+                   np.tile(lin, resolution * resolution))
+        span = self.hi - self.lo
+        occupied = np.zeros(n_cells, dtype=bool)
         rng = np.random.default_rng(0)
-        cell = (self.hi - self.lo) / resolution
+        world = np.empty((3, n_cells))
         for _ in range(max(1, supersample**3 // 2)):
-            jitter = rng.uniform(-0.5, 0.5, size=grid.shape) / resolution
-            world = self.lo + (grid + jitter) * (self.hi - self.lo)
-            query = world
+            jitter = rng.uniform(-0.5, 0.5, size=(n_cells, 3))
+            jitter /= resolution
+            for axis, (column, centre) in enumerate(zip(world, centres)):
+                np.add(centre, jitter[:, axis], out=column)
+                column *= span[axis]
+                column += self.lo[axis]
+            query = world.T
             if self.contracted:
                 # The grid lives in contracted space, the field in world
                 # space: invert the contraction approximately by scaling
                 # radially (exact for |x| <= 1, monotone outside).
-                query = _uncontract(world)
+                query = _uncontract(query)
             occupied |= field.density(query) > threshold
         self.cells = occupied.reshape(resolution, resolution, resolution)
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ObsError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, P2Quantile
+from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry, Observer,
+                       P2Quantile)
 
 
 class TestInstruments:
@@ -172,3 +173,193 @@ class TestRegistry:
         assert (json.dumps(a.timeline, sort_keys=True)
                 == json.dumps(b.timeline, sort_keys=True))
         assert a.flatten() == b.flatten()
+
+
+# ----------------------------------------------------------------------
+# Bit identity with the loop-form P² update and flatten
+# ----------------------------------------------------------------------
+class _ReferenceP2:
+    """``P2Quantile`` before the unrolled update: the textbook loops."""
+
+    def __init__(self, q):
+        self.q = q
+        self._heights = []
+        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+        self._inc = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        self.n = 0
+
+    def add(self, x):
+        from bisect import insort
+
+        self.n += 1
+        h = self._heights
+        if self.n <= 5:
+            insort(h, x)
+            return
+        if x < h[0]:
+            h[0] = x
+            k = 0
+        elif x >= h[4]:
+            h[4] = x
+            k = 3
+        else:
+            k = 0
+            while x >= h[k + 1]:
+                k += 1
+        pos = self._pos
+        for i in range(k + 1, 5):
+            pos[i] += 1.0
+        desired = self._desired
+        inc = self._inc
+        for i in range(5):
+            desired[i] += inc[i]
+        for i in (1, 2, 3):
+            d = desired[i] - pos[i]
+            right = pos[i + 1] - pos[i]
+            left = pos[i - 1] - pos[i]
+            if (d >= 1.0 and right > 1.0) or (d <= -1.0 and left < -1.0):
+                step = 1.0 if d > 0 else -1.0
+                candidate = self._parabolic(i, step)
+                if h[i - 1] < candidate < h[i + 1]:
+                    h[i] = candidate
+                else:
+                    h[i] = self._linear(i, step)
+                pos[i] += step
+
+    def _parabolic(self, i, d):
+        h, pos = self._heights, self._pos
+        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
+            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i])
+            / (pos[i + 1] - pos[i])
+            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1])
+            / (pos[i] - pos[i - 1])
+        )
+
+    def _linear(self, i, d):
+        h, pos = self._heights, self._pos
+        j = i + int(d)
+        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
+
+
+def _reference_flatten(registry) -> dict:
+    """``MetricsRegistry.flatten`` before the cached instrument list:
+    sort on every call and build each histogram's fields afresh."""
+    row = {}
+    for name in sorted(registry.names()):
+        metric = registry.get(name)
+        if isinstance(metric, Histogram):
+            n = metric.count
+            fields = {"count": n, "sum": metric.total,
+                      "mean": metric.total / n if n else 0.0,
+                      "min": metric.min if n else 0.0,
+                      "max": metric.max if n else 0.0}
+            for q in metric.quantiles:
+                fields[f"p{q * 100:g}"] = metric.quantile(q) if n else 0.0
+            for field, value in fields.items():
+                row[f"{name}.{field}"] = value
+        else:
+            row[name] = metric.value
+    return row
+
+
+def _streams():
+    """Observation streams that drive every branch of the update."""
+    rng = np.random.default_rng(2024)
+    n = 1500
+    return {
+        "uniform": [float(x) for x in rng.uniform(0.0, 100.0, n)],
+        "lognormal": [float(x) for x in rng.lognormal(0.0, 1.5, n)],
+        "bimodal": [float(x) for x in np.where(rng.random(n) < 0.8,
+                                               rng.normal(5.0, 1.0, n),
+                                               rng.normal(50.0, 5.0, n))],
+        "integer_ties": [int(x) for x in rng.integers(0, 6, n)],
+        "constant": [3.5] * 300,
+        "increasing": [float(i) for i in range(600)],
+        "decreasing": [float(600 - i) for i in range(600)],
+        "non_finite": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, math.inf, 2.5,
+                       -math.inf, 7.0, math.nan, 1.5, 9.0, math.nan, 0.5],
+        # insort files the NaN as the fourth marker: the cell search
+        # must then compare x >= NaN exactly as the loop did.
+        "nan_marker": [1.0, 2.0, 3.0, math.nan, 5.0, 4.0, 4.5, 2.5, 3.5,
+                       6.0, 0.5, 4.25, 3.75],
+    }
+
+
+def _state(est):
+    # repr tells 3 from 3.0 and 0.0 from -0.0, and equal float reprs are
+    # equal bits.
+    return repr((est.n, est._heights, est._pos, est._desired))
+
+
+class TestP2BitIdentity:
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+    def test_short_streams(self, q, length):
+        rng = np.random.default_rng(length)
+        got, want = P2Quantile(q), _ReferenceP2(q)
+        for x in rng.normal(size=length):
+            got.add(float(x))
+            want.add(float(x))
+            assert _state(got) == _state(want)
+        assert repr(got.value()) == repr(P2Quantile.value(want))
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("stream", list(_streams()))
+    def test_every_add_matches_the_loop_form(self, q, stream):
+        got, want = P2Quantile(q), _ReferenceP2(q)
+        for i, x in enumerate(_streams()[stream]):
+            got.add(x)
+            want.add(x)
+            assert _state(got) == _state(want), (stream, i)
+
+    def test_histogram_observe_matches_reference_estimators(self):
+        h = Histogram("lat", quantiles=(0.5, 0.95, 0.99))
+        refs = [_ReferenceP2(q) for q in h.quantiles]
+        for x in _streams()["lognormal"]:
+            h.observe(x)
+            for ref in refs:
+                ref.add(x)
+        for est, ref in zip(h._estimators, refs):
+            assert _state(est) == _state(ref)
+
+
+class TestFlattenIdentity:
+    def test_rows_match_reference_with_late_registration(self):
+        from types import SimpleNamespace
+
+        reg = MetricsRegistry()
+        observer = Observer(metrics=reg)
+        rng = np.random.default_rng(5)
+        for step in range(60):
+            t_s = step * 0.01
+            latency = float(rng.lognormal(-5.0, 0.5))
+            observer.on_response(
+                SimpleNamespace(latency_s=latency, queue_s=latency / 3,
+                                slo_met=latency < 0.01, finish_s=t_s),
+                sampled=False)
+            observer.on_batch(t_s, t_s + 0.001, 0, step, 1 + step % 4,
+                              "hashgrid", 0)
+            if step == 30:
+                # on_scale registers the fleet.n_chips gauge lazily.
+                assert "fleet.n_chips" not in reg
+                observer.on_scale(t_s, "scale_up", 1, 5)
+            if step == 45:
+                reg.counter("aaa.first").inc()   # sorts ahead of the rest
+            want = _reference_flatten(reg)
+            assert repr(list(reg.flatten().items())) == repr(list(want.items()))
+            row = reg.snapshot(t_s)
+            assert repr(list(row.items())) == repr(
+                [("t_s", t_s)] + list(want.items()))
+        late = [i for i, row in enumerate(reg.timeline)
+                if "fleet.n_chips" in row]
+        assert late[0] == 30 and reg.timeline[30]["fleet.n_chips"] == 5
+        assert list(reg.timeline[45])[:2] == ["t_s", "aaa.first"]
+
+    def test_histogram_snapshot_field_order(self):
+        h = Histogram("lat", quantiles=(0.25, 0.5, 0.999))
+        assert list(h.snapshot()) == ["count", "sum", "mean", "min", "max",
+                                      "p25", "p50", "p99.9"]
+        for x in (4.0, 1.0):
+            h.observe(x)
+        assert list(h.snapshot().values()) == h.values()

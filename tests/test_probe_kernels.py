@@ -4,8 +4,9 @@ formulas they replaced.
 
 The reference formulas below are the ones the kernels used before:
 ``np.linalg.norm`` / ``max`` over the 3-wide rows, ``(N, 3) - (3,)``
-broadcasts, the out-of-place clipped sigmoid and a 3-operand
-``einsum``. The ``measure_coeffs`` golden pins the probe coefficients
+broadcasts, the out-of-place clipped sigmoid, a 3-operand ``einsum``,
+and the ray-sample / occupancy-probe broadcasts against a 3-wide last
+axis. The ``measure_coeffs`` golden pins the probe coefficients
 as ``float.hex`` so a last-digit drift anywhere on the probe path fails
 here instead of passing the ``rel=1e-6`` serve goldens silently.
 """
@@ -15,7 +16,11 @@ import pytest
 
 from repro.compile.measure import clear_measure_cache, measure_coeffs
 from repro.renderers.gaussian.pipeline import splat_power
-from repro.renderers.nerf.sampling import OccupancyGrid, _uncontract
+from repro.renderers.nerf.sampling import (
+    OccupancyGrid,
+    _uncontract,
+    sample_along_rays,
+)
 from repro.scenes import contract_unbounded, get_scene
 from repro.scenes.primitives import Box, Cylinder, FloorPlane, Sphere, Torus
 
@@ -306,6 +311,105 @@ class TestContractionKernels:
             for kind, points in sets.items():
                 assert np.array_equal(grid.query(points),
                                       _occupancy_query_reference(grid, points)), kind
+
+
+def _sample_along_rays_reference(origins, dirs, t_range, n_samples, rng=None):
+    t0, t1 = t_range
+    edges = np.linspace(t0, t1, n_samples + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    dt = float(edges[1] - edges[0])
+    if rng is not None:
+        jitter = rng.uniform(-0.5, 0.5, size=(len(origins), n_samples)) * dt
+        ts = mids[None, :] + jitter
+    else:
+        ts = np.broadcast_to(mids, (len(origins), n_samples))
+    return origins[:, None, :] + dirs[:, None, :] * ts[..., None], dt
+
+
+class _RecordingField:
+    """A scene field that records every density query it answers."""
+
+    def __init__(self, field):
+        self.field = field
+        self.unbounded = field.unbounded
+        self.bounds = field.bounds
+        self.queries = []
+
+    def density(self, points):
+        self.queries.append(np.array(points))
+        return self.field.density(points)
+
+
+def _occupancy_probe_reference(field, resolution, threshold, supersample):
+    """The occupancy probe before the column form: the queries it makes
+    and the cells it marks."""
+    if field.unbounded:
+        lo, hi = np.full(3, -2.0), np.full(3, 2.0)
+    else:
+        lo, hi = (np.asarray(b, float) for b in field.bounds)
+    lin = (np.arange(resolution) + 0.5) / resolution
+    grid = np.stack(
+        np.meshgrid(lin, lin, lin, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    occupied = np.zeros(len(grid), dtype=bool)
+    rng = np.random.default_rng(0)
+    for _ in range(max(1, supersample**3 // 2)):
+        jitter = rng.uniform(-0.5, 0.5, size=grid.shape) / resolution
+        world = lo + (grid + jitter) * (hi - lo)
+        query = _uncontract_reference(world) if field.unbounded else world
+        occupied |= field.density(query) > threshold
+    return occupied.reshape(resolution, resolution, resolution)
+
+
+class TestSamplingKernels:
+    def _rays(self, rng, n=700):
+        origins = np.concatenate([
+            rng.normal(scale=3.0, size=(n, 3)),
+            np.zeros((4, 3)),
+            rng.normal(scale=1e6, size=(8, 3)),
+        ])
+        dirs = np.concatenate([
+            _unit_vectors(rng, n),
+            np.eye(3)[[0, 1, 2, 0]] * -1.0,
+            rng.normal(scale=1e-9, size=(8, 3)),
+        ])
+        return origins, dirs
+
+    @pytest.mark.parametrize("t_range,n_samples", [((2.0, 6.0), 96),
+                                                   ((0.05, 1e3), 2),
+                                                   ((-1.5, 0.25), 33)])
+    def test_sample_along_rays_matches_broadcast(self, t_range, n_samples):
+        origins, dirs = self._rays(np.random.default_rng(22))
+        got, dt = sample_along_rays(origins, dirs, t_range, n_samples)
+        want, want_dt = _sample_along_rays_reference(origins, dirs, t_range,
+                                                     n_samples)
+        assert dt == want_dt
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_stratified_samples_keep_the_draw_order(self):
+        origins, dirs = self._rays(np.random.default_rng(23))
+        got, _ = sample_along_rays(origins, dirs, (2.0, 6.0), 64,
+                                   rng=np.random.default_rng(5))
+        want, _ = _sample_along_rays_reference(origins, dirs, (2.0, 6.0), 64,
+                                               rng=np.random.default_rng(5))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scene", ["lego", "room"])
+    @pytest.mark.parametrize("resolution,supersample", [(32, 3), (7, 2), (2, 1)])
+    def test_occupancy_probe_matches_broadcast(self, scene, resolution,
+                                              supersample):
+        field = get_scene(scene).field()
+        got_field = _RecordingField(field)
+        grid = OccupancyGrid(got_field, resolution=resolution,
+                             supersample=supersample)
+        want_field = _RecordingField(field)
+        want = _occupancy_probe_reference(want_field, resolution, 0.1,
+                                          supersample)
+        assert len(got_field.queries) == len(want_field.queries)
+        for got_q, want_q in zip(got_field.queries, want_field.queries):
+            assert np.array_equal(got_q, want_q)
+        assert np.array_equal(grid.cells, want)
 
 
 class TestSplatKernel:
