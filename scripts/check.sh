@@ -27,8 +27,13 @@
 # fails over, naive arm strands the wave), and the ext_federation
 # experiment written under benchmarks/results/ for the CI artifact.
 # Traffic generation is pinned to golden trace digests by
-# tests/test_serve_traffic.py, and `repro serve --rate nan` must exit 2
-# with an `error:` line rather than print a report or a traceback.
+# tests/test_serve_traffic.py; the router is pinned to its frozen
+# scan-everything reference and frame prices to one per (trace, config)
+# across a federation's epochs by tests/test_serve_federation.py; and
+# the spec and FederationConfig fuzz (tests/test_spec_fuzz.py) runs on
+# the explicit serve line too. `repro serve --rate nan` and
+# `repro federate --sync-ms nan` must exit 2 with an `error:` line
+# rather than print a report or a traceback.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,7 +48,8 @@ python -m pytest -x -q
 python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_predictive.py tests/test_serve_faults.py \
   tests/test_serve_federation.py tests/test_artifact_durability.py \
-  tests/test_serve_traffic.py tests/test_serve_combinations.py
+  tests/test_serve_traffic.py tests/test_serve_combinations.py \
+  tests/test_spec_fuzz.py
 python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
 python -m pytest -q tests/test_probe_kernels.py
@@ -57,6 +63,11 @@ python -m repro serve --requests 10 --rate nan 2> "$LIBDIR/rate_nan.err" \
   || status=$?
 test "$status" -eq 2
 grep -q '^error: ' "$LIBDIR/rate_nan.err"
+status=0
+python -m repro federate --regions 'a:chips=1' --requests 10 --sync-ms nan \
+  2> "$LIBDIR/sync_nan.err" || status=$?
+test "$status" -eq 2
+grep -q '^error: ' "$LIBDIR/sync_nan.err"
 python -m repro serve --requests 40 --chips 3 --min-chips 1 \
   --traffic bursty --width 320 --height 180 \
   --autoscale --admission slo-shed --fleet-spec '2*1x1,1*2x2'

@@ -73,7 +73,7 @@ from repro.serve.request import (
     TenantClass,
     TraceKey,
 )
-from repro.serve.trace_cache import CacheStats, TraceCache
+from repro.serve.trace_cache import CacheStats, CostTable, TraceCache
 from repro.serve.trace_library import (
     LIBRARY_VERSION,
     TraceLibrary,
@@ -108,7 +108,6 @@ from repro.serve.faults import (
 )
 from repro.serve.engine import (
     CompileWorkerPool,
-    CostTable,
     EventEngine,
     TracePrefetcher,
     response_timeline,

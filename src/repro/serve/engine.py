@@ -44,9 +44,11 @@ the fleet one warm-up ahead of the arrival-rate trend instead of
 trailing it.
 
 The pricing hot path is vectorized: every distinct (trace, chip config)
-pair is simulated exactly once into a :class:`CostTable` — plain-float
-rows for the scalar event loop, NumPy columns for analysis — so a
-100k-request fleet simulation prices frames in O(distinct traces).
+pair is simulated exactly once into the trace cache's
+:class:`~repro.serve.trace_cache.CostTable` — plain-float rows for the
+scalar event loop, NumPy columns for analysis — so a 100k-request fleet
+simulation prices frames in O(distinct traces), and runs that share a
+cache never price a pair twice.
 
 Multi-tenant QoS rides the same loop: the pending index keeps one
 master queue *per priority tier* (queued premium work always anchors
@@ -79,8 +81,8 @@ from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import AcceleratorConfig, CompileLatencyModel
-from repro.core.simulator import FrameResult, UniRenderAccelerator
+from repro.core.config import CompileLatencyModel
+from repro.core.simulator import FrameResult
 from repro.errors import ConfigError, SimulationError
 from repro.obs.observer import Observer, resolve_observer
 from repro.serve.admission import AdmissionPolicy, ShedRecord
@@ -91,7 +93,9 @@ from repro.serve.faults import (FailedRecord, FaultPlan, HedgePolicy,
                                 resolve_faults, resolve_hedge)
 from repro.serve.metrics import ServiceReport, publish_report
 from repro.serve.request import RenderRequest, RenderResponse, TraceKey
-from repro.serve.trace_cache import TraceCache
+# CostTable lives with the cache that owns it; it is re-exported here
+# as the engine's pricing boundary.
+from repro.serve.trace_cache import CostTable, TraceCache
 from repro.serve.trace_library import TraceLibrary
 
 #: EWMA smoothing for the observed mean service time (admission input).
@@ -462,94 +466,6 @@ class TracePrefetcher:
         }
 
 
-# ----------------------------------------------------------------------
-# Vectorized frame pricing
-# ----------------------------------------------------------------------
-class CostTable:
-    """Per-(trace, chip config) frame costs, priced exactly once.
-
-    Chips at the same design point render identical frames in identical
-    cycles, so the fleet pays the performance model once per distinct
-    (trace key, config) pair — O(distinct traces), however many requests
-    replay them. Rows are plain float tuples for the scalar event loop;
-    :meth:`as_arrays` exposes the same table as NumPy columns for
-    analysis and bulk pricing.
-    """
-
-    def __init__(self) -> None:
-        # Row index per design point, then per trace key.
-        self._index: dict[AcceleratorConfig, dict[TraceKey, int]] = {}
-        self._rows: list[tuple[float, float, float]] = []
-        self._results: list[FrameResult] = []
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def has(self, key: TraceKey, config: AcceleratorConfig) -> bool:
-        return key in self._index.get(config, ())
-
-    def price(
-        self,
-        key: TraceKey,
-        accelerator: UniRenderAccelerator,
-        program,
-    ) -> tuple[float, float, float]:
-        """``(cycles, frame_reconfig_cycles, energy_j)`` for this pair."""
-        table = self._index.get(accelerator.config)
-        if table is None:
-            table = self._index[accelerator.config] = {}
-        idx = table.get(key)
-        if idx is None:
-            result = accelerator.simulate(program)
-            idx = len(self._rows)
-            table[key] = idx
-            self._rows.append(
-                (result.cycles, result.reconfig_cycles, result.energy_per_frame_j)
-            )
-            self._results.append(result)
-        return self._rows[idx]
-
-    def price_many(
-        self,
-        keys: list[TraceKey],
-        accelerator: UniRenderAccelerator,
-        programs: list,
-    ) -> list[tuple[float, float, float]]:
-        """:meth:`price` for each frame of one batch on one chip.
-
-        The design point's table is looked up once per batch instead of
-        once per frame (hashing an :class:`AcceleratorConfig` costs more
-        than the row lookup); only keys not yet priced at this design
-        point go through :meth:`price`."""
-        table = self._index.get(accelerator.config, {})
-        rows = self._rows
-        out = []
-        for key, program in zip(keys, programs):
-            idx = table.get(key)
-            if idx is None:
-                out.append(self.price(key, accelerator, program))
-                table = self._index[accelerator.config]
-            else:
-                out.append(rows[idx])
-        return out
-
-    def result_for(
-        self, key: TraceKey, config: AcceleratorConfig
-    ) -> Optional[FrameResult]:
-        """The full FrameResult behind a priced row (timeline rendering)."""
-        idx = self._index.get(config, {}).get(key)
-        return self._results[idx] if idx is not None else None
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The table as NumPy columns: cycles, reconfig, energy."""
-        rows = np.asarray(self._rows, dtype=float).reshape(-1, 3)
-        return {
-            "cycles": rows[:, 0],
-            "reconfig_cycles": rows[:, 1],
-            "energy_j": rows[:, 2],
-        }
-
-
 def response_timeline(
     response: RenderResponse,
     result: FrameResult,
@@ -882,7 +798,7 @@ class EventEngine:
         self._tenant_weight: dict[str, float] = {}
 
         self._pending = _PendingIndex()
-        self._cost = CostTable()
+        self._cost = self.cache.costs
         self._responses: list[RenderResponse] = []
         self._shed: list[ShedRecord] = []
         self._est_by_pipeline: dict[str, float] = {}

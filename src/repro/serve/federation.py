@@ -45,8 +45,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -178,12 +180,16 @@ class FederationConfig:
     """Knobs of the router and the replication plane.
 
     The router score of placing a ``home``-homed request in region
-    ``r`` is ``rtt(home, r) + load_weight * assigned_load_s(r)/n_chips
-    + cost_weight_s * (cost_factor(r) - 1)`` — everything in seconds,
-    lowest wins, ties broken by region declaration order. A sticky
-    session (keyed by home region and scene) keeps its region while
-    that region scores within ``sticky_margin_s`` of the winner, so
-    trace locality is not squandered on marginal score noise.
+    ``r`` is ``rtt(home, r) + load_weight * (queue_ewma(r)
+    + overflow(r)/n_chips) + cost_weight_s * (cost_factor(r) - 1)`` —
+    everything in seconds, lowest wins, ties broken by region
+    declaration order. ``queue_ewma(r)`` is the region's smoothed mean
+    queueing delay over past epochs; ``overflow(r)`` is the service
+    time assigned to ``r`` this epoch beyond what its fleet absorbs in
+    one ``sync_cadence_s``. A sticky session (keyed by home region and
+    scene) keeps its region while that region scores within
+    ``sticky_margin_s`` of the winner, so trace locality is not
+    squandered on marginal score noise.
 
     Gossip pushes version-vector deltas every ``sync_cadence_s`` and
     the wire delivers them ``gossip_delay_s`` later, so on a healthy
@@ -210,15 +216,22 @@ class FederationConfig:
         if self.router not in ROUTERS:
             raise ConfigError(
                 f"unknown router {self.router!r}; choose from {ROUTERS}")
+        # Every float knob (a field with a float default) is a finite,
+        # non-negative number; the first that is not is named.
+        for knob in dataclass_fields(self):
+            if not isinstance(knob.default, float):
+                continue
+            value = getattr(self, knob.name)
+            try:
+                finite_float(value)
+            except ValueError as err:
+                raise ConfigError(
+                    f"federation knob {knob.name} must be finite: {err}"
+                ) from err
+            if value < 0:
+                raise ConfigError(f"federation knob {knob.name} is negative")
         if self.sync_cadence_s <= 0:
             raise ConfigError("sync cadence must be positive")
-        if self.gossip_delay_s < 0:
-            raise ConfigError("gossip delay cannot be negative")
-        for name in ("local_rtt_s", "rtt_per_hour_s", "failover_cost_s",
-                     "sticky_margin_s", "load_weight", "cost_weight_s",
-                     "default_service_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"federation knob {name} is negative")
         if not 0.0 < self.service_ewma_alpha <= 1.0:
             raise ConfigError("service EWMA alpha must be in (0, 1]")
 
@@ -265,6 +278,18 @@ def region_rtt_s(config: FederationConfig,
 # ----------------------------------------------------------------------
 # Injected federation faults
 # ----------------------------------------------------------------------
+def _check_window(kind: str, start_s: float,
+                  end_s: Optional[float]) -> None:
+    """A fault window starts at a finite time >= 0 and, unless open
+    (``end_s`` None), ends strictly later; NaN fails both tests."""
+    if not math.isfinite(start_s):
+        raise ConfigError(f"{kind} start must be finite (got {start_s!r})")
+    if start_s < 0:
+        raise ConfigError(f"{kind} start cannot be negative")
+    if end_s is not None and not end_s > start_s:
+        raise ConfigError(f"{kind} must end after it starts")
+
+
 @dataclass(frozen=True)
 class RegionOutage:
     """A whole region offline during ``[start_s, end_s)`` (``end_s``
@@ -275,10 +300,7 @@ class RegionOutage:
     end_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ConfigError("outage start cannot be negative")
-        if self.end_s is not None and self.end_s <= self.start_s:
-            raise ConfigError("outage must end after it starts")
+        _check_window("outage", self.start_s, self.end_s)
 
     def covers(self, t: float) -> bool:
         return t >= self.start_s and (self.end_s is None or t < self.end_s)
@@ -302,10 +324,7 @@ class ChannelPartition:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ConfigError("a partition needs two distinct regions")
-        if self.start_s < 0:
-            raise ConfigError("partition start cannot be negative")
-        if self.end_s is not None and self.end_s <= self.start_s:
-            raise ConfigError("partition must end after it starts")
+        _check_window("partition", self.start_s, self.end_s)
 
     def covers(self, t: float) -> bool:
         return t >= self.start_s and (self.end_s is None or t < self.end_s)
@@ -327,13 +346,27 @@ class FederationPlan:
                  partitions: Iterable[ChannelPartition] = ()) -> None:
         self.outages = tuple(outages)
         self.partitions = tuple(partitions)
+        # The outage schedule as sorted boundaries: every outage starts
+        # and ends on one, so the set of down regions is constant on
+        # [bounds[i-1], bounds[i]) and ``_down[i]`` is that set, read
+        # at the segment's left end with each outage's ``covers``.
+        self._bounds = sorted(
+            {o.start_s for o in self.outages}
+            | {o.end_s for o in self.outages if o.end_s is not None})
+        self._down = [frozenset()] + [
+            frozenset(o.region for o in self.outages if o.covers(t))
+            for t in self._bounds]
 
     @property
     def empty(self) -> bool:
         return not self.outages and not self.partitions
 
+    def down_at(self, t: float) -> frozenset:
+        """Names of the regions some outage covers at ``t``."""
+        return self._down[bisect_right(self._bounds, t)]
+
     def region_down(self, name: str, t: float) -> bool:
-        return any(o.region == name and o.covers(t) for o in self.outages)
+        return name in self.down_at(t)
 
     def channel_blocked(self, x: str, y: str, t: float) -> bool:
         return any(p.blocks(x, y, t) for p in self.partitions)
@@ -602,7 +635,17 @@ class GlobalRouter:
             (a.spec.name, b.spec.name): region_rtt_s(config, a.spec, b.spec)
             for a in regions.values() for b in regions.values()
         }
+        # Score lanes in declaration order: (name, region, capacity_s),
+        # capacity_s being the one-epoch fleet capacity of ``_score``.
+        self._lanes = [
+            (name, region, region.spec.n_chips * config.sync_cadence_s)
+            for name, region in regions.items()]
         self._load_s: dict[str, float] = {name: 0.0 for name in regions}
+        # (home, region) -> score while the region is under capacity.
+        # Without overflow a score reads only the region's EWMAs, which
+        # change between epochs (run_epoch / note_idle_epoch), never
+        # while an epoch is being routed.
+        self._calm_scores: dict[tuple[str, str], float] = {}
         self._sticky: dict[tuple[str, str], str] = {}
         self.n_routed = 0
         self.n_remote = 0
@@ -611,8 +654,9 @@ class GlobalRouter:
         self.n_unroutable = 0
 
     def begin_epoch(self) -> None:
-        """Reset the per-epoch assigned-load ledger."""
+        """Reset the per-epoch assigned-load ledger and score cache."""
         self._load_s = {name: 0.0 for name in self._regions}
+        self._calm_scores = {}
 
     def _score(self, home: str, region: Region) -> float:
         spec = region.spec
@@ -637,8 +681,8 @@ class GlobalRouter:
         failover) the session-migration cost — it lands on the
         request's federated latency, and therefore in SLO accounting."""
         config = self._config
-        plan = self._plan
-        home_up = not plan.region_down(home, now)
+        down = self._plan.down_at(now)
+        home_up = home not in down
         if config.router == "naive":
             if not home_up:
                 self.n_unroutable += 1
@@ -647,12 +691,19 @@ class GlobalRouter:
             self.n_routed += 1
             return home, config.local_rtt_s, False
 
+        load = self._load_s
+        calm = self._calm_scores
         best: Optional[str] = None
         best_score = float("inf")
-        for name, region in self._regions.items():
-            if plan.region_down(name, now):
+        for name, region, capacity_s in self._lanes:
+            if name in down:
                 continue
-            score = self._score(home, region)
+            if load[name] <= capacity_s:
+                score = calm.get((home, name))
+                if score is None:
+                    score = calm[(home, name)] = self._score(home, region)
+            else:
+                score = self._score(home, region)
             if score < best_score:
                 best, best_score = name, score
         if best is None:
@@ -661,8 +712,7 @@ class GlobalRouter:
 
         sticky_key = (home, request.scene)
         sticky = self._sticky.get(sticky_key)
-        if (sticky is not None and sticky != best
-                and not plan.region_down(sticky, now)):
+        if (sticky is not None and sticky != best and sticky not in down):
             if (self._score(home, self._regions[sticky])
                     <= best_score + config.sticky_margin_s):
                 best = sticky

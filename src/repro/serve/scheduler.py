@@ -22,7 +22,8 @@ A frame's service time is its simulated ``FrameResult.cycles`` at the
 chip's clock, plus one ``reconfigure_cycles`` pipeline switch whenever
 the chip's PE array was configured for a different pipeline; every
 distinct (trace, chip config) pair is priced exactly once through the
-engine's :class:`~repro.serve.engine.CostTable`.
+cache's :class:`~repro.serve.trace_cache.CostTable`, so runs that share
+a cache share its prices too.
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ The synchronous serving path compiles inside :meth:`TraceCache.get`;
 the event engine (:mod:`repro.serve.engine`) instead compiles through
 a worker pool and lands finished programs with :meth:`TraceCache.insert`,
 using :meth:`TraceCache.lookup` for demand lookups.
+
+Frame *prices* live here too. A frame's cost is a pure function of its
+trace's program and the chip's design point, so every cache owns one
+:class:`CostTable` (``cache.costs``) and every engine that runs on the
+cache prices through it: runs that share a cache — a warm service's
+restarts, a federation region's sync epochs — pay each (trace, config)
+price once, however many runs replay it.
 """
 
 from __future__ import annotations
@@ -31,8 +38,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.core.config import CompileLatencyModel
+import numpy as np
+
+from repro.core.config import AcceleratorConfig, CompileLatencyModel
 from repro.core.microops import MicroOpProgram
+from repro.core.simulator import FrameResult, UniRenderAccelerator
 from repro.errors import ConfigError
 from repro.serve.request import TraceKey
 
@@ -80,6 +90,95 @@ class CacheStats:
         }
 
 
+# ----------------------------------------------------------------------
+# Vectorized frame pricing
+# ----------------------------------------------------------------------
+class CostTable:
+    """Per-(trace, chip config) frame costs, priced exactly once.
+
+    Chips at the same design point render identical frames in identical
+    cycles, so the fleet pays the performance model once per distinct
+    (trace key, config) pair — O(distinct traces), however many requests
+    replay them. Rows are plain float tuples for the scalar event loop;
+    :meth:`as_arrays` exposes the same table as NumPy columns for
+    analysis and bulk pricing. Each :class:`TraceCache` owns one
+    (``cache.costs``), so a price outlives the run that paid for it.
+    """
+
+    def __init__(self) -> None:
+        # Row index per design point, then per trace key.
+        self._index: dict[AcceleratorConfig, dict[TraceKey, int]] = {}
+        self._rows: list[tuple[float, float, float]] = []
+        self._results: list[FrameResult] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def has(self, key: TraceKey, config: AcceleratorConfig) -> bool:
+        return key in self._index.get(config, ())
+
+    def price(
+        self,
+        key: TraceKey,
+        accelerator: UniRenderAccelerator,
+        program,
+    ) -> tuple[float, float, float]:
+        """``(cycles, frame_reconfig_cycles, energy_j)`` for this pair."""
+        table = self._index.get(accelerator.config)
+        if table is None:
+            table = self._index[accelerator.config] = {}
+        idx = table.get(key)
+        if idx is None:
+            result = accelerator.simulate(program)
+            idx = len(self._rows)
+            table[key] = idx
+            self._rows.append(
+                (result.cycles, result.reconfig_cycles, result.energy_per_frame_j)
+            )
+            self._results.append(result)
+        return self._rows[idx]
+
+    def price_many(
+        self,
+        keys: list[TraceKey],
+        accelerator: UniRenderAccelerator,
+        programs: list,
+    ) -> list[tuple[float, float, float]]:
+        """:meth:`price` for each frame of one batch on one chip.
+
+        The design point's table is looked up once per batch instead of
+        once per frame (hashing an :class:`AcceleratorConfig` costs more
+        than the row lookup); only keys not yet priced at this design
+        point go through :meth:`price`."""
+        table = self._index.get(accelerator.config, {})
+        rows = self._rows
+        out = []
+        for key, program in zip(keys, programs):
+            idx = table.get(key)
+            if idx is None:
+                out.append(self.price(key, accelerator, program))
+                table = self._index[accelerator.config]
+            else:
+                out.append(rows[idx])
+        return out
+
+    def result_for(
+        self, key: TraceKey, config: AcceleratorConfig
+    ) -> Optional[FrameResult]:
+        """The full FrameResult behind a priced row (timeline rendering)."""
+        idx = self._index.get(config, {}).get(key)
+        return self._results[idx] if idx is not None else None
+
+    def as_arrays(self) -> dict[str, np.ndarray]:
+        """The table as NumPy columns: cycles, reconfig, energy."""
+        rows = np.asarray(self._rows, dtype=float).reshape(-1, 3)
+        return {
+            "cycles": rows[:, 0],
+            "reconfig_cycles": rows[:, 1],
+            "energy_j": rows[:, 2],
+        }
+
+
 class TraceCache:
     """LRU cache of compiled frame programs, keyed by trace key.
 
@@ -105,6 +204,10 @@ class TraceCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[TraceKey, MicroOpProgram]" = OrderedDict()
         self._compile_cost_s: dict[TraceKey, float] = {}
+        #: Frame prices of every key this cache has served, per design
+        #: point. A price depends only on the key's program and the
+        #: chip config, so it outlives evictions and runs alike.
+        self.costs = CostTable()
         #: Demand hits per key over this cache's lifetime — the signal
         #: the persistent trace library accumulates across runs.
         self.hits_by_key: dict[TraceKey, int] = {}
@@ -327,6 +430,7 @@ class TraceCache:
         return out
 
     def clear(self) -> None:
-        """Drop entries and cost records; counters are kept."""
+        """Drop entries and compile-cost records; counters and frame
+        prices are kept."""
         self._entries.clear()
         self._compile_cost_s.clear()

@@ -267,3 +267,15 @@ class TestObservabilityFlags:
         solo = load_chrome_trace(solo_path)["otherData"]["recorded"]
         compared = load_chrome_trace(compare_path)["otherData"]["recorded"]
         assert solo == compared
+
+
+class TestFederateCommand:
+    @pytest.mark.parametrize("flag, value", [
+        ("--sync-ms", "nan"), ("--sync-ms", "inf"),
+        ("--gossip-delay-ms", "nan"), ("--failover-ms", "nan")])
+    def test_non_finite_knob_is_a_clean_error(self, capsys, flag, value):
+        code = main(["federate", "--regions", "a:chips=1",
+                     "--requests", "2", "--width", "32", "--height", "32",
+                     flag, value])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

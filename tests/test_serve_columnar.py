@@ -377,7 +377,7 @@ class TestGetMany:
 class TestPriceMemoEviction:
     """Eviction versus pricing: a 1-entry cache alternating two traces
     evicts and recompiles on nearly every frame. Frame prices live only
-    in the engine's :class:`CostTable`, keyed by (trace, design point),
+    in the cache's :class:`CostTable`, keyed by (trace, design point),
     so a recompile re-reads its trace's row instead of re-simulating,
     and both loops report the same bytes."""
 

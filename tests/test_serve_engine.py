@@ -273,7 +273,7 @@ class TestServingTimeline:
         )
         response = report.responses[0]
         assert response.compile_origin == "sync"
-        from repro.serve import CostTable  # engine-owned; rebuild here
+        from repro.serve import CostTable  # cache-owned; rebuild here
         accel = UniRenderAccelerator(AcceleratorConfig())
         table = CostTable()
         table.price(response.request.trace_key, accel,

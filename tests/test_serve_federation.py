@@ -10,10 +10,14 @@ change that moves serving results must update the frozen table.
 """
 
 import json
-from collections import OrderedDict
+import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from unittest.mock import ANY
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.federation import (
     FEDERATION_ARMS,
@@ -22,21 +26,31 @@ from repro.analysis.federation import (
     federation_arm,
 )
 from repro.compile.workloads import gemm_workload
+from repro.core.config import CompileLatencyModel
 from repro.core.microops import MicroOp, MicroOpProgram
+from repro.core.simulator import UniRenderAccelerator
 from repro.errors import ConfigError, SimulationError
 from repro.serve import (
     ChannelPartition,
+    CostTable,
     FederationConfig,
     FederationPlan,
     FederationReport,
     GlobalRouter,
+    PipelineBatcher,
     Region,
     RegionOutage,
     RegionSpec,
+    RenderRequest,
+    ServeCluster,
+    TraceCache,
+    format_service_report,
     generate_federation_traffic,
+    generate_traffic,
     parse_region_spec,
     region_rtt_s,
     simulate_federation,
+    simulate_service,
 )
 
 #: Per-pipeline synthetic frame costs (matches test_serve_golden).
@@ -172,6 +186,13 @@ class TestFederationPlan:
     def test_outage_window_validation(self):
         with pytest.raises(ConfigError, match="end after it starts"):
             RegionOutage(region="us", start_s=1.0, end_s=1.0)
+        # NaN would sort nowhere in the router's outage boundaries.
+        for start, end in ((math.nan, None), (math.inf, None),
+                           (1.0, math.nan)):
+            with pytest.raises(ConfigError):
+                RegionOutage(region="us", start_s=start, end_s=end)
+            with pytest.raises(ConfigError):
+                ChannelPartition(a="us", b="eu", start_s=start, end_s=end)
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +210,6 @@ def make_planet(config, plan=None, tz_b=6.0, chips=2):
 
 
 def one_request(scene="lego", arrival_s=0.0, request_id=0):
-    from repro.serve import RenderRequest
-
     return RenderRequest(request_id=request_id, arrival_s=arrival_s,
                          scene=scene, pipeline="hashgrid",
                          width=64, height=64, slo_s=0.1)
@@ -261,6 +280,244 @@ class TestGlobalRouter:
         router.begin_epoch()
         region, _, _ = router.route(one_request("t"), "a", 0.0)
         assert region == "a"
+
+
+# ----------------------------------------------------------------------
+# Router identity against the frozen scan-everything router
+# ----------------------------------------------------------------------
+def _reference_region_down(plan, name, t):
+    """The plan's outage test as first written: scan every outage."""
+    return any(o.region == name and o.start_s <= t
+               and (o.end_s is None or t < o.end_s) for o in plan.outages)
+
+
+class _ReferenceRouter:
+    """:class:`GlobalRouter` as it was before it bisected the outage
+    schedule and cached no-overflow scores: every request scans every
+    outage for every region and scores every region afresh. Counters,
+    tie-breaks and the sticky rule are the contract the fast router
+    must keep bit for bit."""
+
+    def __init__(self, regions, config, plan):
+        self._regions = regions
+        self._config = config
+        self._plan = plan
+        self._rtt = {
+            (a.spec.name, b.spec.name): region_rtt_s(config, a.spec, b.spec)
+            for a in regions.values() for b in regions.values()
+        }
+        self._load_s = {name: 0.0 for name in regions}
+        self._sticky = {}
+        self.n_routed = 0
+        self.n_remote = 0
+        self.n_failovers = 0
+        self.n_sticky_holds = 0
+        self.n_unroutable = 0
+
+    def begin_epoch(self):
+        self._load_s = {name: 0.0 for name in self._regions}
+
+    def _score(self, home, region):
+        spec = region.spec
+        capacity_s = spec.n_chips * self._config.sync_cadence_s
+        overflow = max(0.0, self._load_s[spec.name] - capacity_s)
+        return (self._rtt[(home, spec.name)]
+                + self._config.load_weight
+                * (region.queue_ewma_s + overflow / spec.n_chips)
+                + self._config.cost_weight_s * (spec.cost_factor - 1.0))
+
+    def route(self, request, home, now):
+        config = self._config
+        plan = self._plan
+        home_up = not _reference_region_down(plan, home, now)
+        if config.router == "naive":
+            if not home_up:
+                self.n_unroutable += 1
+                return None, 0.0, False
+            self._note_assign(home)
+            self.n_routed += 1
+            return home, config.local_rtt_s, False
+        best = None
+        best_score = float("inf")
+        for name, region in self._regions.items():
+            if _reference_region_down(plan, name, now):
+                continue
+            score = self._score(home, region)
+            if score < best_score:
+                best, best_score = name, score
+        if best is None:
+            self.n_unroutable += 1
+            return None, 0.0, False
+        sticky_key = (home, request.scene)
+        sticky = self._sticky.get(sticky_key)
+        if (sticky is not None and sticky != best
+                and not _reference_region_down(plan, sticky, now)):
+            if (self._score(home, self._regions[sticky])
+                    <= best_score + config.sticky_margin_s):
+                best = sticky
+                self.n_sticky_holds += 1
+        self._sticky[sticky_key] = best
+        failover = (best != home) and not home_up
+        if failover:
+            self.n_failovers += 1
+        if best != home:
+            self.n_remote += 1
+        extra = self._rtt[(home, best)]
+        if failover:
+            extra += config.failover_cost_s
+        self._note_assign(best)
+        self.n_routed += 1
+        return best, extra, failover
+
+    def _note_assign(self, name):
+        region = self._regions[name]
+        est = region.service_ewma_s or self._config.default_service_s
+        self._load_s[name] += est
+
+    def stats(self):
+        return {
+            "n_routed": self.n_routed,
+            "n_remote": self.n_remote,
+            "n_failovers": self.n_failovers,
+            "n_sticky_holds": self.n_sticky_holds,
+            "n_unroutable": self.n_unroutable,
+        }
+
+
+@st.composite
+def router_scenarios(draw):
+    """1-4 regions with 1-2 chips and a short sync epoch (so regions
+    overflow), outages and arrivals that land exactly on epoch
+    boundaries and on each other, and per-epoch EWMA updates."""
+    n_regions = draw(st.integers(1, 4))
+    specs = tuple(
+        RegionSpec(name=f"r{i}",
+                   tz_offset_h=draw(st.sampled_from([0.0, 0.5, 6.0, -9.0])),
+                   n_chips=draw(st.integers(1, 2)),
+                   cost_factor=draw(st.sampled_from([1.0, 0.8, 1.5])))
+        for i in range(n_regions))
+    names = [spec.name for spec in specs]
+    cadence = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    config = FederationConfig(
+        router=draw(st.sampled_from(["federated", "federated", "naive"])),
+        sync_cadence_s=cadence,
+        sticky_margin_s=draw(st.sampled_from([0.0, 0.001, 0.005, 0.05])),
+        load_weight=draw(st.sampled_from([1.0, 0.0, 3.0])),
+        cost_weight_s=draw(st.sampled_from([0.002, 0.0, 0.02])),
+        default_service_s=draw(st.sampled_from([0.004, 0.02])))
+    n_epochs = draw(st.integers(1, 4))
+    # Epoch boundaries computed as simulate_federation computes them.
+    boundaries = [epoch * cadence for epoch in range(n_epochs + 1)]
+    instant = st.one_of(
+        st.sampled_from(boundaries),
+        st.integers(0, 6 * n_epochs).map(lambda k: k * cadence / 6),
+        st.floats(0.0, n_epochs * cadence))
+
+    outages = []
+    for _ in range(draw(st.integers(0, 5))):
+        start = draw(instant)
+        end = draw(st.one_of(st.none(), instant))
+        outages.append(RegionOutage(
+            region=draw(st.sampled_from(names)), start_s=start,
+            end_s=end if end is not None and end > start else None))
+    if draw(st.booleans()):  # every region down at once, for a while
+        start = draw(instant)
+        for name in names:
+            outages.append(RegionOutage(region=name, start_s=start,
+                                        end_s=start + cadence))
+    draw(st.randoms(use_true_random=False)).shuffle(outages)
+    plan = FederationPlan(outages=outages)
+
+    # Arrivals at outage edges and epoch boundaries, plus anywhere.
+    edges = sorted({o.start_s for o in outages}
+                   | {o.end_s for o in outages if o.end_s is not None})
+    when = st.one_of(instant, st.sampled_from(edges)) if edges else instant
+    times = sorted(draw(st.lists(when, max_size=40)))
+    requests = [
+        (RenderRequest(request_id=i, arrival_s=t,
+                       scene=draw(st.sampled_from(["s", "t", "u"])),
+                       pipeline="hashgrid", width=64, height=64,
+                       slo_s=0.1),
+         draw(st.sampled_from(names)))
+        for i, t in enumerate(times)]
+    epochs, pointer = [], 0
+    for epoch in range(n_epochs):
+        t1 = ((epoch + 1) * cadence if epoch < n_epochs - 1
+              else float("inf"))
+        batch = []
+        while pointer < len(requests) and requests[pointer][0].arrival_s < t1:
+            batch.append(requests[pointer])
+            pointer += 1
+        ewmas = [(draw(st.sampled_from([0.0, 0.001, 0.02])),
+                  draw(st.sampled_from([0.0, 0.004, 0.03])))
+                 for _ in names]
+        epochs.append((batch, ewmas))
+    return specs, config, plan, epochs
+
+
+class TestRouterIdentity:
+    @given(router_scenarios())
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    def test_routes_and_stats_match_the_reference(self, scenario):
+        specs, config, plan, epochs = scenario
+        regions = OrderedDict(
+            (spec.name, Region(spec, config, compile_fn=stub_compile))
+            for spec in specs)
+        router = GlobalRouter(regions, config, plan)
+        reference = _ReferenceRouter(regions, config, plan)
+        for batch, ewmas in epochs:
+            router.begin_epoch()
+            reference.begin_epoch()
+            for request, home in batch:
+                now = request.arrival_s
+                assert plan.down_at(now) == {
+                    name for name in regions
+                    if _reference_region_down(plan, name, now)}
+                assert (router.route(request, home, now)
+                        == reference.route(request, home, now))
+                assert router.stats() == reference.stats()
+            # The EWMAs move between epochs, as run_epoch and
+            # note_idle_epoch move them.
+            for region, (queue_s, service_s) in zip(regions.values(),
+                                                    ewmas):
+                region.queue_ewma_s = queue_s
+                region.service_ewma_s = service_s
+        assert router.stats() == reference.stats()
+
+    def test_sticky_tie_at_zero_margin_holds(self):
+        # Same time zone, so a's and b's scores tie for an a-homed
+        # request. An outage pushes the session to b; once a is back
+        # it wins the tie on declaration order, and a zero margin
+        # still holds the session on b (the rule is <=, not <).
+        config = FederationConfig(sticky_margin_s=0.0)
+        plan = FederationPlan(outages=[RegionOutage("a", 0.0, 0.1)])
+        _, regions, router = make_planet(config, plan, tz_b=0.0)
+        reference = _ReferenceRouter(regions, config, plan)
+        for t in (0.05, 0.1, 0.2):
+            request = one_request("s", arrival_s=t)
+            assert (router.route(request, "a", t)
+                    == reference.route(request, "a", t) == ("b", ANY, ANY))
+        assert router.stats() == reference.stats()
+        assert router.stats()["n_sticky_holds"] == 2
+
+    def test_down_set_matches_the_scan_at_every_edge(self):
+        plan = FederationPlan(outages=[
+            RegionOutage("a", 0.1, 0.3), RegionOutage("a", 0.2, 0.5),
+            RegionOutage("b", 0.3), RegionOutage("b", 0.1, 0.2)])
+        _, regions, _ = make_planet(FederationConfig(), plan)
+        router = GlobalRouter(regions, FederationConfig(router="naive"),
+                              plan)
+        for t in (0.0, 0.1, 0.15, 0.2, 0.3, 0.49, 0.5, 1e9):
+            assert plan.down_at(t) == {
+                name for name in ("a", "b")
+                if _reference_region_down(plan, name, t)}
+            for home in ("a", "b"):
+                expected = _reference_region_down(plan, home, t)
+                assert plan.region_down(home, t) == expected
+                region, _, _ = router.route(one_request(arrival_s=t),
+                                            home, t)
+                assert (region is None) == expected, (home, t)
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +646,95 @@ class TestSimulateFederation:
         with pytest.raises(ConfigError, match="unknown region"):
             run_planet(FederationConfig(),
                        FederationPlan.parse("outage=mars@0.1"))
+
+
+# ----------------------------------------------------------------------
+# Frame prices live with the trace cache and outlive a run
+# ----------------------------------------------------------------------
+class KeyedCompiler:
+    """Stub compile_fn that remembers which key each program is for
+    (the programs are kept alive, so ``id`` stays unique)."""
+
+    def __init__(self):
+        self.key_of: dict[int, tuple] = {}
+        self._programs = []
+
+    def __call__(self, key):
+        program = stub_compile(key)
+        self.key_of[id(program)] = key
+        self._programs.append(program)
+        return program
+
+
+class TestPricesPersist:
+    def spy_simulate(self, monkeypatch, key_of, region_of=lambda: None):
+        """Count ``UniRenderAccelerator.simulate`` calls per
+        ``(region, trace key, design point)``."""
+        calls = Counter()
+        original = UniRenderAccelerator.simulate
+
+        def spy(accel, program, gated=True):
+            calls[(region_of(), key_of[id(program)], accel.config)] += 1
+            return original(accel, program, gated)
+
+        monkeypatch.setattr(UniRenderAccelerator, "simulate", spy)
+        return calls
+
+    def test_federation_prices_each_pair_once(self, monkeypatch):
+        compiler = KeyedCompiler()
+        serving: list[str] = []
+        run_epoch = Region.run_epoch
+
+        def tagged(region, *args, **kwargs):
+            serving.append(region.spec.name)
+            return run_epoch(region, *args, **kwargs)
+
+        monkeypatch.setattr(Region, "run_epoch", tagged)
+        calls = self.spy_simulate(monkeypatch, compiler.key_of,
+                                  lambda: serving[-1])
+        specs = parse_region_spec("a:chips=2;b:tz=12,chips=2")
+        streams = generate_federation_traffic(
+            specs, n_requests_per_region=60, rate_rps=40.0, seed=5,
+            pattern="steady", slo_s=0.1)
+        simulate_federation(specs, streams, config=FederationConfig(),
+                            compile_fn=compiler)
+        # Each region serves several epochs, each on a fresh engine.
+        assert serving.count("a") >= 3 and serving.count("b") >= 3
+        assert calls, "nothing was priced"
+        assert max(calls.values()) == 1, calls
+
+    @staticmethod
+    def serve(cache):
+        requests = generate_traffic(
+            "bursty", n_requests=120, rate_rps=900.0, seed=4,
+            scenes=("lego", "room"), resolution=(64, 64), slo_s=0.1)
+        return simulate_service(requests, ServeCluster(2), cache=cache,
+                                batcher=PipelineBatcher(max_batch=4),
+                                compile_latency=CompileLatencyModel())
+
+    @staticmethod
+    def report_bytes(report):
+        return (format_service_report(report)
+                + json.dumps(report.to_dict(), sort_keys=True))
+
+    def test_second_run_on_a_shared_cache_prices_nothing(self, monkeypatch):
+        compiler = KeyedCompiler()
+        calls = self.spy_simulate(monkeypatch, compiler.key_of)
+        cache = TraceCache(capacity=64, compile_fn=compiler)
+        self.serve(cache)
+        priced = sum(calls.values())
+        assert priced > 0 and len(cache.costs) == priced
+        second = self.serve(cache)
+        assert sum(calls.values()) == priced  # the prices carried over
+
+        # Reference: the same two runs, the second on a fresh price
+        # table, so every pair is priced again.
+        ref_cache = TraceCache(capacity=64, compile_fn=compiler)
+        self.serve(ref_cache)
+        ref_cache.costs = CostTable()
+        ref_second = self.serve(ref_cache)
+        assert sum(calls.values()) == 3 * priced
+        assert self.report_bytes(second) == self.report_bytes(ref_second)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Randomized spec-string parsing: every CLI spec parser either returns a
 valid spec or raises :class:`ConfigError` — never a raw ``ValueError`` /
-``OverflowError``, and never a spec carrying NaN or an infinity.
+``OverflowError``, and never a spec carrying NaN or an infinity. The
+same holds for :class:`FederationConfig` built from drawn knob values.
 
 Number fields are drawn from a pool that mixes ordinary values with
 ``nan``, ``inf``, ``1e400`` (which ``float`` reads as infinity), huge
 finite values and non-numbers, so every field sees each kind.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -17,7 +19,8 @@ from repro.analysis.runner import SCENARIO_DEFAULTS, parse_scenario_sweep
 from repro.errors import ConfigError
 from repro.serve.cluster import parse_fleet_spec
 from repro.serve.faults import FaultPlan
-from repro.serve.federation import FederationPlan, parse_region_spec
+from repro.serve.federation import (FederationConfig, FederationPlan,
+                                    parse_region_spec)
 from repro.serve.traffic import parse_tenant_spec
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
@@ -184,6 +187,47 @@ def test_federation_plan_fuzz(spec):
 
 
 # ----------------------------------------------------------------------
+# FederationConfig: every float knob finite and >= 0, or a named ConfigError
+# ----------------------------------------------------------------------
+#: The float-valued fields, read off the dataclass defaults.
+_FEDERATION_FLOATS = tuple(
+    f.name for f in dataclasses.fields(FederationConfig)
+    if isinstance(f.default, float))
+
+knob = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                     0.5, 1.0, 1e308, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.fixed_dictionaries(
+    {}, optional={name: knob for name in _FEDERATION_FLOATS}))
+@FUZZ
+def test_federation_config_fuzz(knobs):
+    try:
+        config = FederationConfig(**knobs)
+    except ConfigError as err:
+        # The first knob, in field order, that is non-finite or negative
+        # is the one named; a non-finite one chains the ValueError.
+        bad = [name for name in _FEDERATION_FLOATS
+               if name in knobs
+               and not (math.isfinite(knobs[name]) and knobs[name] >= 0)]
+        if bad:
+            assert bad[0] in str(err)
+            assert (isinstance(err.__cause__, ValueError)
+                    == (not math.isfinite(knobs[bad[0]])))
+        else:  # every knob is fine alone: a zero cadence or a bad alpha
+            assert (knobs.get("sync_cadence_s") == 0
+                    or not 0 < knobs.get("service_ewma_alpha", 0.3) <= 1)
+        return
+    values = [getattr(config, name) for name in _FEDERATION_FLOATS]
+    _assert_finite(*values)
+    assert all(value >= 0 for value in values)
+    assert config.sync_cadence_s > 0
+    assert 0 < config.service_ewma_alpha <= 1
+
+
+# ----------------------------------------------------------------------
 # Sweep scenarios: repro sweep --set KEY=VALUE / --vary KEY=V1,V2
 # ----------------------------------------------------------------------
 sweep_key = st.sampled_from(sorted(SCENARIO_DEFAULTS) + ["bogus", "", " rate"])
@@ -251,6 +295,12 @@ def test_sweep_assignment_fuzz(entries):
     (lambda spec: parse_scenario_sweep([], [spec]), "slo_ms=1,inf",
      "slo_ms=inf"),
     (lambda spec: parse_scenario_sweep([spec]), "rate=abc", "rate=abc"),
+    (lambda v: FederationConfig(sync_cadence_s=float(v)), "nan",
+     "sync_cadence_s"),
+    (lambda v: FederationConfig(gossip_delay_s=float(v)), "inf",
+     "gossip_delay_s"),
+    (lambda v: FederationConfig(failover_cost_s=float(v)), "nan",
+     "failover_cost_s"),
 ])
 def test_non_finite_field_is_named_and_chained(parse, spec, field):
     with pytest.raises(ConfigError, match=field.replace("+", r"\+")) as info:
