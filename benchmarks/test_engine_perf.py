@@ -17,16 +17,20 @@ records its numbers in ``benchmarks/results/BENCH_engine.json``):
   columns, per-pipeline index lanes, no per-arrival heap ops — ~176k
   req/s measured on a 1-core CI-grade box, with the *scalar* loop
   itself up ~2.4x from the arrival-array change;
-* columnar everywhere (this floor): batched trace-cache windows
-  (``get_many``), vectorized chip-score lanes, and per-tier pending
-  lanes (strict-tier QoS now columnar-eligible).
+* columnar everywhere: batched trace-cache windows (``get_many``),
+  vectorized chip-score lanes, and per-tier pending lanes;
+* one loop (this floor): the columnar twin is gone. The general loop
+  keeps per-(tier, pipeline) pending lanes and a cached active-chip
+  list, ingests arrival windows while every chip is busy, finds price
+  tables by config identity, and builds responses positionally —
+  ~120-220k req/s on a shared 2-core host, at or above the deleted
+  twin's rate on the same host.
 
 Floors assert with CI headroom; dropping below one means the hot path
-regressed structurally, not that a machine is merely slow. Modes the
-columnar gate excludes (weighted admission/preempt, faults, hedging,
-autoscaling, an attached observer) anchor to ``SCALAR_FLOOR_RPS`` — the scalar
-loop's own floor, also asserted via the ``columnar=False`` escape
-hatch.
+regressed structurally, not that a machine is merely slow. The bare,
+strict-tier QoS and disabled-observer runs anchor to ``FLOOR_RPS``;
+the feature-heavy modes (weighted admission/preempt, faults, hedging,
+autoscaling, an attached observer) anchor to ``SCALAR_FLOOR_RPS``.
 """
 
 import time
@@ -47,18 +51,17 @@ from tests.test_serve_invariants import stub_program
 
 #: Requests in the smoke run and the asserted simulation-rate floor.
 N_REQUESTS = 100_000
-#: The columnar fast path simulates this scenario at ~176k req/s on a
-#: 1-core box; batched cache windows and the chip-score lanes hold it
-#: there with the wider eligibility, so the floor asserts >= 90k (1.5x
-#: the PR 8 floor) with CI headroom.
+#: The engine simulates this scenario at ~120-220k req/s on a shared
+#: 2-core host; the floor asserts >= 90k (1.5x the first arrival-column
+#: floor) with CI headroom.
 FLOOR_RPS = 90_000.0
-#: Floor of the scalar event loop (the ``columnar=False`` escape hatch
-#: and every mode the columnar gate excludes): the pre-columnar floor,
-#: which the arrival-array change lifted well clear of (~91k measured).
+#: The base of the feature-heavy floors (preemption, full tracing,
+#: fault injection): the loop's floor from before arrival arrays, kept
+#: as the anchor those floors scale.
 SCALAR_FLOOR_RPS = 20_000.0
 
 
-def run_overload(columnar: bool = True):
+def run_overload():
     trace = generate_traffic(
         "bursty", n_requests=N_REQUESTS, rate_rps=60_000.0, seed=42,
         resolution=(64, 64), slo_s=0.0005,
@@ -70,7 +73,6 @@ def run_overload(columnar: bool = True):
         cache=TraceCache(capacity=64,
                          compile_fn=lambda key: stub_program(key[1])),
         batcher=PipelineBatcher(),
-        columnar=columnar,
     )
     elapsed = time.perf_counter() - began
     return report, N_REQUESTS / elapsed
@@ -84,7 +86,7 @@ def test_engine_simulation_rate_floor(benchmark, save_text, record_bench):
         f"(floor {FLOOR_RPS:,.0f}); mean batch {report.mean_batch_size:.2f}, "
         f"throughput {report.throughput_rps:,.0f} sim-req/s",
     )
-    record_bench("bare_columnar", rate, FLOOR_RPS, N_REQUESTS)
+    record_bench("bare", rate, FLOOR_RPS, N_REQUESTS)
     # The workload really exercised the hot path: deep queues, full
     # batches, every request served.
     assert report.n_requests == N_REQUESTS
@@ -92,39 +94,18 @@ def test_engine_simulation_rate_floor(benchmark, save_text, record_bench):
     # The floor itself: 1.5x the PR 8 floor, with CI headroom.
     assert rate >= FLOOR_RPS, (
         f"engine simulated only {rate:,.0f} req/s "
-        f"(floor {FLOOR_RPS:,.0f}) — the columnar hot path has regressed"
-    )
-
-
-def test_scalar_escape_hatch_rate_floor(benchmark, save_text, record_bench):
-    # ``columnar=False`` forces the scalar event loop on the same
-    # scenario: the escape hatch must stay a usable fallback, and the
-    # arrival-array change (no per-arrival heap entry) keeps even this
-    # path well above the historical floor.
-    report, rate = benchmark.pedantic(
-        lambda: run_overload(columnar=False), rounds=1, iterations=1)
-    save_text(
-        "engine_perf_scalar",
-        f"simulated {N_REQUESTS} requests on the scalar loop at "
-        f"{rate:,.0f} req/s (floor {SCALAR_FLOOR_RPS:,.0f})",
-    )
-    record_bench("bare_scalar", rate, SCALAR_FLOOR_RPS, N_REQUESTS)
-    assert report.n_requests == N_REQUESTS
-    assert rate >= SCALAR_FLOOR_RPS, (
-        f"scalar engine simulated only {rate:,.0f} req/s "
-        f"(floor {SCALAR_FLOOR_RPS:,.0f}) — the general event loop has "
+        f"(floor {FLOOR_RPS:,.0f}) — the event loop's hot path has "
         f"regressed"
     )
 
 
 # ----------------------------------------------------------------------
 # Multi-tenant QoS paths. Strict-tier dispatch (tiers only — no
-# weighted budgets, no preemption) is columnar-eligible since the
-# per-tier pending lanes landed, so it anchors to the columnar floor
-# with a 20% lane-bookkeeping allowance. The *full* machinery (weighted
-# admission, dispatch-ahead staging, preemption) still runs on the
-# scalar loop, so its floor anchors to the scalar floor: no more than
-# 10% below it.
+# weighted budgets, no preemption) rides the per-(tier, pipeline)
+# pending lanes, so it anchors to the bare floor with a 20%
+# lane-bookkeeping allowance. The *full* machinery (weighted
+# admission, dispatch-ahead staging, preemption) anchors to the
+# feature floor: no more than 10% below it.
 # ----------------------------------------------------------------------
 QOS_COLUMNAR_FLOOR_RPS = FLOOR_RPS * 0.8
 PREEMPT_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.9
@@ -162,11 +143,11 @@ def test_qos_columnar_rate_floor(benchmark, save_text, record_bench):
     # Both tiers really flowed through the tier lanes.
     assert len(report.tenant_report()) == 2
     assert not report.preempt_enabled
-    # No more than 20% below the columnar floor.
+    # No more than 20% below the bare floor.
     assert rate >= QOS_COLUMNAR_FLOOR_RPS, (
         f"strict-tier QoS path simulated only {rate:,.0f} req/s "
         f"(floor {QOS_COLUMNAR_FLOOR_RPS:,.0f}) — the per-tier pending "
-        f"lanes have regressed the columnar hot path"
+        f"lanes have regressed the hot path"
     )
 
 
@@ -206,7 +187,7 @@ def test_preemption_path_rate_floor(benchmark, save_text, record_bench):
     # The QoS machinery really engaged on this run.
     assert report.preempt_enabled
     assert len(report.tenant_report()) == 2
-    # No more than 10% below the scalar floor.
+    # No more than 10% below the feature floor.
     assert rate >= PREEMPT_FLOOR_RPS, (
         f"QoS path simulated only {rate:,.0f} req/s "
         f"(floor {PREEMPT_FLOOR_RPS:,.0f}) — tier dispatch, weighted "
@@ -292,13 +273,11 @@ def test_predictive_autoscaler_rate_floor(benchmark, save_text, record_bench):
 # ----------------------------------------------------------------------
 # Observability floors: the obs hooks live on the same hot path, so two
 # floors pin their cost. Disabled means *absent* — a sink-less observer
-# normalizes to None, so the run stays eligible for the columnar fast
-# path and must hold >= 0.97x the *new* bare floor (the columnar
-# rewrite must not reintroduce per-event observer overhead). Full
-# tracing (ring-buffer tracer + metrics registry + flight recorder,
-# sample 1.0) runs on the scalar loop, whose inline hooks are the one
-# observer path; the sinks' per-event Python dominates, so the floor
-# is half the scalar loop's.
+# normalizes to None, so the run is a bare run and must hold >= 0.97x
+# the bare floor (the loop must not reintroduce per-event observer
+# overhead). Full tracing (ring-buffer tracer + metrics registry +
+# flight recorder, sample 1.0) runs the loop's inline hooks; the sinks'
+# per-event Python dominates, so the floor is half the feature floor.
 # ----------------------------------------------------------------------
 OBS_DISABLED_FLOOR_RPS = FLOOR_RPS * 0.97
 OBS_ENABLED_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.5
@@ -326,8 +305,7 @@ def test_disabled_observer_rate_floor(benchmark, save_text, record_bench):
     from repro.obs import Observer
 
     # No sinks: resolve_observer() normalizes this to None inside the
-    # engine, so the run measures exactly the disabled-path guards —
-    # and stays on the columnar fast path.
+    # engine, so the run measures exactly the disabled-path guards.
     report, rate = benchmark.pedantic(
         lambda: run_observed_overload(Observer()), rounds=1, iterations=1)
     save_text(
@@ -365,17 +343,16 @@ def test_full_tracing_rate_floor(benchmark, save_text, record_bench):
     assert rate >= OBS_ENABLED_FLOOR_RPS, (
         f"fully traced run simulated only {rate:,.0f} req/s "
         f"(floor {OBS_ENABLED_FLOOR_RPS:,.0f}) — the observer hooks have "
-        f"grown past half the scalar loop's rate"
+        f"grown past half the feature floor"
     )
 
 
 # ----------------------------------------------------------------------
 # Chaos path: a fault plan puts a crash probe, a straggler-window
 # lookup, and a speed-EWMA update on every dispatched frame, so fault
-# injection is hot-path code too — scalar-loop code, since the columnar
-# gate excludes fault plans. An active plan (two straggler windows
+# injection is hot-path code too. An active plan (two straggler windows
 # spanning the whole run plus one mid-run recoverable crash) must hold
-# >= 0.8x the scalar floor — below that, the per-frame fault checks
+# >= 0.8x the feature floor — below that, the per-frame fault checks
 # have outgrown their dictionary-lookup budget.
 # ----------------------------------------------------------------------
 FAULT_FLOOR_RPS = SCALAR_FLOOR_RPS * 0.8
@@ -422,7 +399,7 @@ def test_fault_injection_rate_floor(benchmark, save_text, record_bench):
     # The plan really engaged: the crash fired and stragglers dilated.
     assert report.fault_stats["n_crashes"] == 1
     assert report.fleet_availability < 1.0
-    # No more than 20% below the scalar floor.
+    # No more than 20% below the feature floor.
     assert rate >= FAULT_FLOOR_RPS, (
         f"faulted engine simulated only {rate:,.0f} req/s "
         f"(floor {FAULT_FLOOR_RPS:,.0f}) — per-frame fault checks have "

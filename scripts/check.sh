@@ -10,16 +10,15 @@
 # serving CLI end to end — static fleet, autoscaled heterogeneous
 # fleet with admission, async compile with prefetch, a two-tenant QoS
 # run with weighted admission and preemption, a strict-tier QoS run
-# diffed columnar-vs---no-columnar (the per-tier lanes must be
-# byte-identical to the scalar loop), a chaos run with fault
+# diffed against itself (the per-tier lanes must be deterministic),
+# a chaos run with fault
 # injection and hedging, a predictive-autoscaling run that round-trips
 # a trace library through a temp dir (the second invocation must
 # warm-start from what the first one flushed), and an observability
 # run whose --trace-out artifact must schema-validate and summarize,
 # whose trace and metrics artifacts must come out byte-identical when
 # the run repeats, and whose report lines must match the same run
-# without observer flags (observed runs take the scalar loop, bare ones the columnar
-# loop, and the report may not tell them apart).
+# without observer flags (the observer hooks may not move a number).
 # Finally, pin the sweep runner's determinism contract: the same sweep
 # run serially and across 2 worker processes must merge to
 # byte-identical JSON — then smoke the federation layer: a two-region
@@ -32,8 +31,9 @@
 # across a federation's epochs by tests/test_serve_federation.py; and
 # the spec and FederationConfig fuzz (tests/test_spec_fuzz.py) runs on
 # the explicit serve line too. `repro serve --rate nan` and
-# `repro federate --sync-ms nan` must exit 2 with an `error:` line
-# rather than print a report or a traceback.
+# `repro federate --sync-ms nan` (or a cadence so small the epoch count
+# overflows) must exit 2 with an `error:` line rather than print a
+# report, a traceback or loop for ever.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +68,11 @@ python -m repro federate --regions 'a:chips=1' --requests 10 --sync-ms nan \
   2> "$LIBDIR/sync_nan.err" || status=$?
 test "$status" -eq 2
 grep -q '^error: ' "$LIBDIR/sync_nan.err"
+status=0
+python -m repro federate --regions 'a:chips=1' --requests 10 \
+  --sync-ms 1e-320 2> "$LIBDIR/sync_tiny.err" || status=$?
+test "$status" -eq 2
+grep -q '^error: .*sync_cadence_s' "$LIBDIR/sync_tiny.err"
 python -m repro serve --requests 40 --chips 3 --min-chips 1 \
   --traffic bursty --width 320 --height 180 \
   --autoscale --admission slo-shed --fleet-spec '2*1x1,1*2x2'
@@ -78,19 +83,18 @@ python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --tenants 'premium:tier=0,weight=4,share=0.25;economy:tier=1,slo=2' \
   --admission weighted --preempt
 
-# QoS-columnar smoke: a strict-tier two-tenant run (no weighted
-# budgets, no preemption) rides the columnar per-tier lanes; its
-# report must be byte-identical to the same run forced onto the
-# scalar reference loop with --no-columnar.
+# Strict-tier QoS smoke: a two-tenant run (no weighted budgets, no
+# preemption) rides the per-(tier, pipeline) pending lanes; the same
+# run twice must report byte-identically.
 python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --traffic bursty --rate 300 --seed 5 \
   --tenants 'premium:tier=0,share=0.25;economy:tier=1,slo=2' \
-  > "$LIBDIR/qos_columnar.txt"
+  > "$LIBDIR/qos_one.txt"
 python -m repro serve --requests 40 --chips 2 --width 160 --height 90 \
   --traffic bursty --rate 300 --seed 5 \
   --tenants 'premium:tier=0,share=0.25;economy:tier=1,slo=2' \
-  --no-columnar > "$LIBDIR/qos_scalar.txt"
-diff "$LIBDIR/qos_columnar.txt" "$LIBDIR/qos_scalar.txt"
+  > "$LIBDIR/qos_two.txt"
+diff "$LIBDIR/qos_one.txt" "$LIBDIR/qos_two.txt"
 
 # Chaos serving: literal fault spec (recoverable crash + straggler +
 # rollback) with hedging, and a seeded random plan; both must report

@@ -119,7 +119,6 @@ SCENARIO_DEFAULTS: dict[str, object] = {
     "cache_size": 64,
     "max_batch": 8,
     "admission": "admit-all",
-    "columnar": True,
 }
 
 
@@ -258,7 +257,6 @@ def _run_scenario(spec: dict):
         cache=TraceCache(capacity=int(spec["cache_size"])),
         batcher=PipelineBatcher(max_batch=int(spec["max_batch"])),
         admission=admission,
-        columnar=bool(spec["columnar"]),
     )
 
 

@@ -162,7 +162,6 @@ def _cmd_serve(args) -> int:
             observer=observer if index == 0 else None,
             faults=faults,
             hedge=args.hedge,
-            columnar=not args.no_columnar,
         )
         print(format_service_report(static))
         if library is not None:
@@ -204,7 +203,6 @@ def _cmd_serve(args) -> int:
                 trace_library=fresh_library(),
                 faults=faults,
                 hedge=args.hedge,
-                columnar=not args.no_columnar,
             )
             print()
             print(format_service_report(autoscaled))
@@ -492,11 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "e.g. 'crash=1@0.010+0.050;slow=2@0-0.1x4'; "
                             "or 'seeded:seed=S,chips=N,horizon=H[,...]' "
                             "for a randomized plan")
-    serve.add_argument("--no-columnar", action="store_true",
-                       help="force the scalar reference event loop even "
-                            "for configurations the columnar fast path "
-                            "accepts (reports are byte-identical either "
-                            "way; this is the escape hatch / A-B knob)")
     serve.add_argument("--hedge", action="store_true",
                        help="arm request hedging: duplicate a queued "
                             "request onto a second chip once its queue "

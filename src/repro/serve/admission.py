@@ -76,14 +76,6 @@ class AdmissionPolicy:
     #: the engine budgets the queue against the tenant's weighted share
     #: of the fleet instead of the global backlog.
     tenant_aware = False
-    #: Whether :meth:`admit` may return a *rewritten* request (degrade).
-    #: Contract: any policy whose ``admit`` can return something other
-    #: than the request it was handed (or ``None``) MUST set this to
-    #: ``True`` — the engine's columnar fast path precomputes
-    #: per-request pipeline columns at ingest and only accepts policies
-    #: that never rewrite. Duck-typed policy objects without the
-    #: attribute conservatively run on the scalar loop.
-    may_degrade = False
     #: Observability mirrors (class attributes, since several subclasses
     #: never call ``super().__init__``): resolved by :meth:`bind_metrics`,
     #: ``None`` until then so the unobserved path costs nothing.
@@ -180,7 +172,6 @@ class Downgrade(SloShed):
     """
 
     name = "downgrade"
-    may_degrade = True
 
     def __init__(
         self, margin: float = 1.0, ladder: tuple[str, ...] = DOWNGRADE_LADDER

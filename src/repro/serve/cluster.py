@@ -167,18 +167,31 @@ def _round_robin() -> ShardingPolicy:
     return pick
 
 
+def _earliest_free(chips, pipeline=None) -> ChipState | None:
+    """The chip minimizing ``(free_at_s, chip_id)``; with ``pipeline``,
+    among chips configured for it (``None`` when there is none)."""
+    best = None
+    for chip in chips:
+        if pipeline is not None and chip.configured_pipeline != pipeline:
+            continue
+        if best is None or chip.free_at_s < best.free_at_s or (
+                chip.free_at_s == best.free_at_s
+                and chip.chip_id < best.chip_id):
+            best = chip
+    return best
+
+
 def _least_loaded(chips: list[ChipState], batch: Batch, now: float,
                   est_service_s: float = 0.0) -> ChipState:
-    return min(chips, key=lambda c: (c.free_at_s, c.chip_id))
+    return _earliest_free(chips)
 
 
 def _pipeline_affinity(chips: list[ChipState], batch: Batch, now: float,
                        est_service_s: float = 0.0) -> ChipState:
-    coldest = _least_loaded(chips, batch, now)
-    warm = [c for c in chips if c.configured_pipeline == batch.pipeline]
-    if not warm:
+    coldest = _earliest_free(chips)
+    warmest = _earliest_free(chips, batch.pipeline)
+    if warmest is None:
         return coldest
-    warmest = min(warm, key=lambda c: (c.free_at_s, c.chip_id))
     # Waiting for the warm chip is worth at most one avoided switch.
     cold_start = max(now, coldest.free_at_s)
     warm_start = max(now, warmest.free_at_s)
@@ -227,6 +240,7 @@ SHARDING_POLICIES: dict[str, Callable[[], ShardingPolicy]] = {
 }
 
 
+# Unused; kept only for perfbench's ChipScoreLanes.select span (ROADMAP item 5).
 class ChipScoreLanes:
     """Vectorized chip scoring over a static fleet.
 
@@ -426,6 +440,9 @@ class ServeCluster:
             ChipState(i, UniRenderAccelerator(cfg))
             for i, cfg in enumerate(chip_configs)
         ]
+        # Active chips in id order, kept by add_chip / retire_chip: the
+        # dispatcher reads it on every event, so it is never rebuilt.
+        self._active = list(self.chips)
 
     def __len__(self) -> int:
         return len(self.chips)
@@ -433,11 +450,13 @@ class ServeCluster:
     # ------------------------------------------------------------------
     @property
     def active_chips(self) -> list[ChipState]:
-        return [chip for chip in self.chips if chip.active]
+        """Chips that receive new batches, in id order. The cluster's
+        own list: callers must not mutate it."""
+        return self._active
 
     @property
     def n_active(self) -> int:
-        return sum(1 for chip in self.chips if chip.active)
+        return len(self._active)
 
     @property
     def n_available(self) -> int:
@@ -465,22 +484,23 @@ class ServeCluster:
                     exclude: "Container[int] | None" = None) -> ChipState:
         """Policy pick over active chips; ``exclude`` masks chip ids the
         engine has reserved (a staged, not-yet-started batch owns them)."""
-        chips = self.active_chips
+        chips = self._active
         if exclude:
             chips = [chip for chip in chips if chip.chip_id not in exclude]
         return self._policy(chips, batch, now, est_service_s)
 
     @property
     def earliest_free_s(self) -> float:
-        return min(chip.free_at_s for chip in self.active_chips)
+        return min(chip.free_at_s for chip in self._active)
 
     def has_idle_chip(self, now: float) -> bool:
         """True when some active chip could start a batch right now —
         the event engine's dispatch gate (dispatch never queues work
         while every chip is busy; the queue builds so batches coalesce)."""
-        return any(
-            chip.free_at_s <= now for chip in self.chips if chip.active
-        )
+        for chip in self._active:
+            if chip.free_at_s <= now:
+                return True
+        return False
 
     # -- elastic actuators ---------------------------------------------
     def add_chip(
@@ -504,6 +524,7 @@ class ServeCluster:
             added_at_s=now,
         )
         self.chips.append(chip)
+        self._active.append(chip)
         return chip
 
     def retire_chip(self, chip: ChipState, now: float) -> None:
@@ -513,3 +534,4 @@ class ServeCluster:
         if self.n_active <= 1:
             raise ConfigError("cannot retire the last active chip")
         chip.retired_at_s = max(now, chip.free_at_s)
+        self._active.remove(chip)

@@ -46,7 +46,7 @@ trailing it.
 The pricing hot path is vectorized: every distinct (trace, chip config)
 pair is simulated exactly once into the trace cache's
 :class:`~repro.serve.trace_cache.CostTable` — plain-float rows for the
-scalar event loop, NumPy columns for analysis — so a 100k-request fleet
+event loop, NumPy columns for analysis — so a 100k-request fleet
 simulation prices frames in O(distinct traces), and runs that share a
 cache never price a pair twice.
 
@@ -79,8 +79,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Container, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import CompileLatencyModel
 from repro.core.simulator import FrameResult
 from repro.errors import ConfigError, SimulationError
@@ -88,7 +86,7 @@ from repro.obs.observer import Observer, resolve_observer
 from repro.serve.admission import AdmissionPolicy, ShedRecord
 from repro.serve.autoscaler import Autoscaler
 from repro.serve.batcher import Batch, PipelineBatcher
-from repro.serve.cluster import ChipScoreLanes, ChipState, ServeCluster
+from repro.serve.cluster import ChipState, ServeCluster
 from repro.serve.faults import (FailedRecord, FaultPlan, HedgePolicy,
                                 resolve_faults, resolve_hedge)
 from repro.serve.metrics import ServiceReport, publish_report
@@ -493,15 +491,17 @@ def response_timeline(
 # Pending-queue index
 # ----------------------------------------------------------------------
 class _PendingIndex:
-    """Arrival-ordered queue with per-pipeline lanes and O(1) counters.
+    """Arrival-ordered queue with per-(tier, pipeline) lanes and O(1)
+    counters.
 
     Per-tier ``masters`` preserve the head-of-line anchor *within each
     priority tier* — the anchor scan walks tiers most-premium first, so
     queued premium work always dispatches ahead of queued economy work
     (with a single tenant class every request lands in one tier and the
     structure degenerates to the old global FIFO, event for event).
-    Per-pipeline lanes give batch formation its same-pipeline followers
-    without scanning the whole queue; the pipeline counters give
+    Per-(tier, pipeline) lanes give batch formation its same-pipeline,
+    same-tier followers without scanning the whole queue — or the other
+    tiers' requests of the same pipeline; the per-pipeline counters give
     admission its backlog projection without iterating pending requests.
     Dispatched requests are removed lazily — each structure consumes its
     own tombstone set, so a request dropped from one is still recognized
@@ -513,29 +513,37 @@ class _PendingIndex:
     def __init__(self) -> None:
         self.masters: dict[int, deque[RenderRequest]] = {}
         self._tiers: list[int] = []       # sorted keys of ``masters``
-        self.lanes: dict[str, deque[RenderRequest]] = {}
+        #: tier -> pipeline -> lane
+        self.lanes: dict[int, dict[str, deque[RenderRequest]]] = {}
         self.counts: dict[str, int] = {}
         self.n_pending = 0
         self._gone_master: set[int] = set()
         self._gone_lane: set[int] = set()
 
+    def _lane(self, tier: int, pipeline: str) -> deque[RenderRequest]:
+        """The (tier, pipeline) lane, created on first use (with its
+        tier's master queue)."""
+        tier_lanes = self.lanes.get(tier)
+        if tier_lanes is None:
+            tier_lanes = self.lanes[tier] = {}
+            self.masters[tier] = deque()
+            self._tiers = sorted(self.masters)
+        lane = tier_lanes.get(pipeline)
+        if lane is None:
+            lane = tier_lanes[pipeline] = deque()
+        return lane
+
     def push(self, request: RenderRequest) -> None:
         tier = request.tenant.tier
-        master = self.masters.get(tier)
-        if master is None:
-            master = self.masters[tier] = deque()
-            self._tiers = sorted(self.masters)
-        master.append(request)
-        lane = self.lanes.get(request.pipeline)
-        if lane is None:
-            lane = self.lanes[request.pipeline] = deque()
-        lane.append(request)
+        self._lane(tier, request.pipeline).append(request)
+        self.masters[tier].append(request)
         self.counts[request.pipeline] = self.counts.get(request.pipeline, 0) + 1
         self.n_pending += 1
 
     def anchor(self, is_ready) -> Optional[RenderRequest]:
         """Oldest pending *ready* request of the most premium tier that
-        has one (the batch anchor)."""
+        has one (the batch anchor). ``is_ready=None``: every pending
+        request is ready (synchronous compile)."""
         gone = self._gone_master
         for tier in self._tiers:
             master = self.masters[tier]
@@ -544,34 +552,31 @@ class _PendingIndex:
             for request in master:
                 if request.request_id in gone:
                     continue
-                if is_ready(request):
+                if is_ready is None or is_ready(request):
                     return request
         return None
 
-    def take(self, pipeline: str, limit: int, is_ready,
-             tier: Optional[int] = None) -> list[RenderRequest]:
-        """Up to ``limit`` ready requests of ``pipeline``, in queue order.
+    def take(self, anchor: RenderRequest, limit: int,
+             is_ready) -> list[RenderRequest]:
+        """Up to ``limit`` ready requests of the anchor's pipeline and
+        priority tier, in queue order (the anchor first).
 
         Unready requests keep their place in the lane (skipped, never
-        reordered); previously dispatched ones are lazily dropped. With
-        ``tier`` set, only requests of that priority tier are taken —
-        QoS batches never carry economy passengers ahead of queued
-        premium work of another pipeline.
+        reordered); previously dispatched ones are lazily dropped. A
+        batch never carries another tier's requests: QoS batches never
+        carry economy passengers ahead of queued premium work of
+        another pipeline.
         """
-        lane = self.lanes[pipeline]
+        pipeline = anchor.pipeline
+        lane = self.lanes[anchor.tenant.tier][pipeline]
         gone = self._gone_lane
         while lane and lane[0].request_id in gone:
             gone.discard(lane.popleft().request_id)
         taken: list[RenderRequest] = []
         contiguous = True
         for request in lane:
-            if request.request_id in gone:
-                contiguous = False
-                continue
-            if tier is not None and request.tenant.tier != tier:
-                contiguous = False
-                continue
-            if not is_ready(request):
+            if request.request_id in gone or (
+                    is_ready is not None and not is_ready(request)):
                 contiguous = False
                 continue
             taken.append(request)
@@ -608,15 +613,10 @@ class _PendingIndex:
             self._gone_lane.discard(request.request_id)
 
         pipeline = requests[0].pipeline
-        lane = self.lanes[pipeline]
-        self._merge_missing(lane, requests)
         for tier in {r.tenant.tier for r in requests}:
-            master = self.masters.get(tier)
-            if master is None:
-                master = self.masters[tier] = deque()
-                self._tiers = sorted(self.masters)
-            self._merge_missing(
-                master, [r for r in requests if r.tenant.tier == tier])
+            members = [r for r in requests if r.tenant.tier == tier]
+            self._merge_missing(self._lane(tier, pipeline), members)
+            self._merge_missing(self.masters[tier], members)
         self.counts[pipeline] += len(requests)
         self.n_pending += len(requests)
 
@@ -690,7 +690,6 @@ class EventEngine:
         observer: Optional[Observer] = None,
         faults: Optional[FaultPlan] = None,
         hedge: "HedgePolicy | bool | None" = None,
-        columnar: bool = True,
     ) -> None:
         ordered = sorted(requests, key=_arrival_order)
         if not ordered:
@@ -780,11 +779,10 @@ class EventEngine:
             self._hits_baseline = dict(self.cache.hits_by_key)
 
         # -- multi-tenant QoS state -------------------------------------
-        # Tier-filtered batching switches on when the trace actually
-        # carries more than one priority tier (or preemption is armed);
-        # a single-class trace takes the exact pre-tenant code paths.
+        # Batches are tier-pure by construction (the pending index keeps
+        # one lane per tier and pipeline); a single-class trace has one
+        # tier and takes the exact pre-tenant code paths.
         self.preempt = preempt
-        self._qos = preempt or len({r.tenant.tier for r in ordered}) > 1
         self._staged: dict[int, _StagedBatch] = {}   # chip_id -> batch
         self._preempt_count: dict[int, int] = {}     # request_id -> times
         self._displaced_from: dict[int, int] = {}    # request_id -> chip_id
@@ -878,36 +876,6 @@ class EventEngine:
                 self._push(crash.at_s, _CHIP_CRASH, crash)
                 if crash.down_s is not None:
                     self._push(crash.recover_at_s, _CHIP_RECOVER, crash)
-
-        # -- columnar fast path eligibility ------------------------------
-        # The de-interpreted run loop (:meth:`_run_columnar`) holds the
-        # pending set as per-(tier, pipeline) index lanes over NumPy
-        # arrival columns and skips the event heap entirely. It is taken
-        # only for configurations whose scalar schedule it reproduces
-        # bit for bit: a static fleet (no autoscaler, no faults, no
-        # hedging — chaos must stay on the reference loop), synchronous
-        # compile (no worker pool, no prefetch), no preemption (staging
-        # reorders dispatch mid-flight), no weighted admission (its
-        # per-tenant budgets rewrite the backlog projection), no
-        # observer (the scalar loop's inline hooks are the one observer
-        # path), and an admission policy that never rewrites requests
-        # (an unknown policy subclass conservatively falls back to
-        # scalar). Strict-tier multi-tenant traffic *is* eligible: tiers
-        # get their own lanes. ``columnar=False`` is the explicit escape
-        # hatch.
-        self._columnar = bool(
-            columnar
-            and self._obs is None
-            and self.autoscaler is None
-            and not self.async_compile
-            and self.prefetcher is None
-            and not self.preempt
-            and self._faults is None
-            and self._hedge is None
-            and not self._tenant_aware
-            and (admission is None
-                 or not getattr(admission, "may_degrade", True))
-        )
 
     # -- service-time estimation ---------------------------------------
     def _estimate(self, pipeline: str) -> float:
@@ -1237,20 +1205,32 @@ class EventEngine:
         cost = self._cost
         accelerator = chip.accelerator
         clock = chip.config.clock_hz
+        chip_id = chip.chip_id
+        batch_id = batch.batch_id
         async_mode = self.async_compile
         preempt_mode = self.preempt
         responses = self._responses
         feed = self.autoscaler is not None
+        feed_forecast = self._feed_forecast
         est = self._est_by_pipeline
         obs = self._obs
         faults = self._faults
         hedge_mode = self._hedge is not None
+        latency_model = self.latency_model
+        requests = batch.requests
         crash = None
         if faults is not None:
-            crash = faults.next_crash(chip.chip_id, dispatched_s)
+            crash = faults.next_crash(chip_id, dispatched_s)
+        # Chip counters accumulate in locals, frame by frame in the same
+        # order, and are written back once.
+        served = chip.requests_served
+        frame_cycles = chip.frame_cycles
+        switch_cycles = chip.switch_cycles
+        reconfig_total = chip.frame_reconfig_cycles
+        energy_total = chip.energy_j
         t = start_s
         aborted = False
-        for index, request in enumerate(batch.requests):
+        for index, request in enumerate(requests):
             key = request.trace_key
             rid = request.request_id
             compile_wait = 0.0
@@ -1276,7 +1256,7 @@ class EventEngine:
                     cache.stats.compile_wall_s += time.perf_counter() - began
             else:
                 program, cache_hit = cache.get(key)
-                if not cache_hit and self.latency_model is not None:
+                if not cache_hit and latency_model is not None:
                     # Synchronous visible compile: the dispatch path
                     # stalls on the chip for the simulated compile time.
                     compile_wait = cache.compile_cost_s(key)
@@ -1287,16 +1267,17 @@ class EventEngine:
             cycles, reconfig_cycles, energy_j = cost.price(
                 key, accelerator, program)
 
+            pipeline = request.pipeline
             switch = 0.0
-            if chip.configured_pipeline != request.pipeline:
+            if chip.configured_pipeline != pipeline:
                 switch = float(chip.config.reconfigure_cycles)
                 chip.pipeline_switches += 1
-                chip.configured_pipeline = request.pipeline
+                chip.configured_pipeline = pipeline
             service = (cycles + switch) / clock
             requeues = 0
             rollback = 0.0
             if faults is not None:
-                dilation = faults.dilation(chip.chip_id, t)
+                dilation = faults.dilation(chip_id, t)
                 if dilation != 1.0:
                     service *= dilation
                 requeues = self._requeue_count.get(rid, 0)
@@ -1305,13 +1286,13 @@ class EventEngine:
                     # restores the frame's last checkpoint.
                     rollback = faults.rollback_s
                 speed = self._chip_speed
-                prior_speed = speed.get(chip.chip_id, 1.0)
-                speed[chip.chip_id] = prior_speed + _SPEED_EWMA_ALPHA * (
+                prior_speed = speed.get(chip_id, 1.0)
+                speed[chip_id] = prior_speed + _SPEED_EWMA_ALPHA * (
                     dilation - prior_speed)
             finish = t + compile_wait + rollback + service
 
             if crash is not None and finish > crash.at_s:
-                self._abort_crash(chip, batch.requests[index:], crash,
+                self._abort_crash(chip, requests[index:], crash,
                                   t, start_s)
                 aborted = True
                 break
@@ -1334,8 +1315,13 @@ class EventEngine:
                 # the one it was displaced from has migrated — under an
                 # autoscaler this is how it reaches newly warmed chips.
                 migrated = (displaced_from is not None
-                            and chip.chip_id != displaced_from)
+                            and chip_id != displaced_from)
 
+            frame_cycles += cycles
+            switch_cycles += switch
+            reconfig_total += reconfig_cycles
+            energy_total += energy_j
+            span = finish - t
             hstate = None
             orig_id = rid
             if hedge_mode:
@@ -1344,11 +1330,6 @@ class EventEngine:
             if hstate is not None:
                 # One copy of a hedged pair: the chip really spends the
                 # cycles, but the response waits for the settle event.
-                span = finish - t
-                chip.frame_cycles += cycles
-                chip.switch_cycles += switch
-                chip.frame_reconfig_cycles += reconfig_cycles
-                chip.energy_j += energy_j
                 if hstate["settled"]:
                     # Late duplicate: it sat staged while its sibling
                     # settled. Pure wasted work, no second response.
@@ -1356,78 +1337,41 @@ class EventEngine:
                     self._hedge_wasted_s += span
                     chip.lost_work_s += span
                 else:
-                    original = hstate["requests"][orig_id]
                     response = RenderResponse(
-                        request=original,
-                        chip_id=chip.chip_id,
-                        batch_id=batch.batch_id,
-                        start_s=t,
-                        finish_s=finish,
-                        cycles=cycles,
-                        switch_cycles=switch,
-                        frame_reconfig_cycles=reconfig_cycles,
-                        energy_j=energy_j,
-                        cache_hit=cache_hit,
-                        compile_s=compile_s,
-                        compile_origin=origin,
-                        prefetched=prefetched,
-                        dispatched_s=dispatched_s,
-                        preemptions=preemptions,
-                        migrated=migrated,
-                        requeues=requeues,
-                        hedged=rid != orig_id,
-                    )
-                    hstate["chips"][rid] = chip.chip_id
+                        hstate["requests"][orig_id], chip_id, batch_id, t,
+                        finish, cycles, switch, reconfig_cycles, energy_j,
+                        cache_hit, compile_s, origin, prefetched,
+                        dispatched_s, preemptions, migrated, requeues,
+                        rid != orig_id)
+                    hstate["chips"][rid] = chip_id
                     hstate["candidates"].append((rid, response, chip))
                     self._push(finish, _HEDGE_SETTLE, orig_id)
                 t = finish
                 continue
+            # Positional, in RenderResponse field order (hot path).
             response = RenderResponse(
-                request=request,
-                chip_id=chip.chip_id,
-                batch_id=batch.batch_id,
-                start_s=t,
-                finish_s=finish,
-                cycles=cycles,
-                switch_cycles=switch,
-                frame_reconfig_cycles=reconfig_cycles,
-                energy_j=energy_j,
-                cache_hit=cache_hit,
-                compile_s=compile_s,
-                compile_origin=origin,
-                prefetched=prefetched,
-                dispatched_s=dispatched_s,
-                preemptions=preemptions,
-                migrated=migrated,
-                requeues=requeues,
-            )
+                request, chip_id, batch_id, t, finish, cycles, switch,
+                reconfig_cycles, energy_j, cache_hit, compile_s, origin,
+                prefetched, dispatched_s, preemptions, migrated, requeues)
             responses.append(response)
             if obs is not None:
                 if origin == "sync" and compile_wait > 0.0:
-                    obs.on_compile_sync(t, t + compile_wait, chip.chip_id,
-                                        request.pipeline)
-                obs.on_response(response, obs.wants(request.request_id))
-            chip.requests_served += 1
-            chip.frame_cycles += cycles
-            chip.switch_cycles += switch
-            chip.frame_reconfig_cycles += reconfig_cycles
-            chip.energy_j += energy_j
+                    obs.on_compile_sync(t, t + compile_wait, chip_id,
+                                        pipeline)
+                obs.on_response(response, obs.wants(rid))
+            served += 1
             t = finish
 
-            pipeline = request.pipeline
             prior = est.get(pipeline)
             if prior is None:
-                est[pipeline] = response.service_s
+                est[pipeline] = span
             else:
-                est[pipeline] = prior + _SERVICE_EWMA_ALPHA * (
-                    response.service_s - prior
-                )
-            if self._feed_forecast:
+                est[pipeline] = prior + _SERVICE_EWMA_ALPHA * (span - prior)
+            if feed_forecast:
                 mean = self._svc_ewma
                 self._svc_ewma = (
-                    response.service_s if mean is None
-                    else mean + _FORECAST_EWMA_ALPHA * (
-                        response.service_s - mean)
+                    span if mean is None
+                    else mean + _FORECAST_EWMA_ALPHA * (span - mean)
                 )
             if feed:
                 heapq.heappush(
@@ -1438,19 +1382,24 @@ class EventEngine:
             if hedge_mode:
                 self._note_wait(response.queue_s)
 
+        chip.requests_served = served
+        chip.frame_cycles = frame_cycles
+        chip.switch_cycles = switch_cycles
+        chip.frame_reconfig_cycles = reconfig_total
+        chip.energy_j = energy_total
         if aborted:
             if obs is not None:
-                obs.on_batch(start_s, max(start_s, crash.at_s), chip.chip_id,
-                             batch.batch_id, len(batch.requests),
-                             batch.pipeline, batch.requests[0].tenant.tier)
+                obs.on_batch(start_s, max(start_s, crash.at_s), chip_id,
+                             batch_id, len(requests),
+                             batch.pipeline, requests[0].tenant.tier)
             return
         if obs is not None:
-            obs.on_batch(start_s, t, chip.chip_id, batch.batch_id,
-                         len(batch.requests), batch.pipeline,
-                         batch.requests[0].tenant.tier)
+            obs.on_batch(start_s, t, chip_id, batch_id,
+                         len(requests), batch.pipeline,
+                         requests[0].tenant.tier)
         chip.busy_s += t - start_s
         chip.free_at_s = t
-        self._push(t, _CHIP_FREE, chip.chip_id)
+        self._push(t, _CHIP_FREE, chip_id)
 
     # -- chaos: crash handling -------------------------------------------
     def _abort_crash(self, chip: ChipState, members: Sequence[RenderRequest],
@@ -1817,17 +1766,15 @@ class EventEngine:
         preempt = self.preempt
         if self._staged:
             self._flush_staged(now)
-        qos_tier = self._qos
         tenant_aware = self._tenant_aware
+        is_ready = self._is_ready if self.async_compile else None
         while self._n_ready > 0 and cluster.has_idle_chip(now):
             if self.autoscaler is not None:
                 self._controller_tick(now, pending.n_pending)
-            anchor = pending.anchor(self._is_ready)
+            anchor = pending.anchor(is_ready)
             if anchor is None:
                 break
-            taken = pending.take(
-                anchor.pipeline, batcher.max_batch, self._is_ready,
-                tier=anchor.tenant.tier if qos_tier else None)
+            taken = pending.take(anchor, batcher.max_batch, is_ready)
             if tenant_aware:
                 self._tenant_remove(taken)
             if self._hedge is not None:
@@ -1866,18 +1813,17 @@ class EventEngine:
         batcher = self.batcher
         staged = self._staged
         down = self._down_chips
+        is_ready = self._is_ready if self.async_compile else None
         while self._n_ready > 0:
             if not any(chip.chip_id not in staged
                        and chip.chip_id not in down
                        and chip.free_at_s > now
                        for chip in cluster.active_chips):
                 return
-            anchor = pending.anchor(self._is_ready)
+            anchor = pending.anchor(is_ready)
             if anchor is None:
                 return
-            taken = pending.take(
-                anchor.pipeline, batcher.max_batch, self._is_ready,
-                tier=anchor.tenant.tier)
+            taken = pending.take(anchor, batcher.max_batch, is_ready)
             if self._tenant_aware:
                 self._tenant_remove(taken)
             if self._hedge is not None:
@@ -1894,10 +1840,7 @@ class EventEngine:
     # -- main loop -------------------------------------------------------
     def run(self) -> ServiceReport:
         try:
-            if self._columnar:
-                now = self._run_columnar()
-            else:
-                now = self._run_scalar()
+            now = self._run_loop()
         finally:
             # A shared cache outlives this engine; a later run on it
             # must not count into this run's metric registry.
@@ -1905,8 +1848,8 @@ class EventEngine:
                 self.cache.unbind_metrics()
         return self._finalize(now)
 
-    def _run_scalar(self) -> float:
-        """The general event loop, every feature armed.
+    def _run_loop(self) -> float:
+        """The event loop, every feature armed.
 
         Arrivals are consumed from their sorted list in timestamp
         batches and merged with the dynamic-event heap at each instant.
@@ -1915,6 +1858,12 @@ class EventEngine:
         heap event reproduces the old single-heap ``(t, kind, seq)``
         schedule event for event (see the tie-break contract at the
         event-kind constants).
+
+        A run with no per-instant work besides dispatch (no autoscaler,
+        hedging, observer, prefetch or preemption) ingests arrival
+        windows in one pass: while every chip is busy and no dynamic
+        event is due, an arrival instant's dispatch round is a no-op,
+        so skipping it changes nothing.
         """
         events = self._events
         pending = self._pending
@@ -1923,7 +1872,34 @@ class EventEngine:
         n = len(arrivals)
         i = 0
         now = 0.0
+        windowed = (self.autoscaler is None and self._hedge is None
+                    and self._obs is None and self.prefetcher is None
+                    and not self.preempt)
+        cluster = self.cluster
+        # Nothing to rule on and nothing to compile: ingest is a push.
+        push = (pending.push if self.admission is None
+                and not self.async_compile else None)
         while i < n or events:
+            if (windowed and i < n
+                    and (not events or arrival_t[i] < events[0][0])
+                    and not cluster.has_idle_chip(arrival_t[i])):
+                # The window runs to the first chip free or dynamic
+                # event, whichever comes first.
+                bound = cluster.earliest_free_s
+                if events and events[0][0] < bound:
+                    bound = events[0][0]
+                while i < n and arrival_t[i] < bound:
+                    now = arrival_t[i]
+                    if push is not None:
+                        push(arrivals[i])
+                    else:
+                        self._ingest(arrivals[i], now)
+                    i += 1
+                    if events and events[0][0] < bound:
+                        # The ingest submitted a compile that lands
+                        # inside the window: it ends there.
+                        bound = events[0][0]
+                continue
             if i < n:
                 t_arr = arrival_t[i]
                 now = (t_arr if not events or t_arr <= events[0][0]
@@ -1976,313 +1952,6 @@ class EventEngine:
                     self._tick_pushed_at = now
                     self._push(now, _SCALE_TICK)
         return now
-
-    def _run_columnar(self) -> float:
-        """The de-interpreted hot loop for gated configurations.
-
-        Arrivals live in NumPy columns (timestamps and pipeline codes);
-        each step either jumps to the earliest chip-free instant —
-        ingesting the whole arrival window it skips over with one
-        ``searchsorted`` and a vectorized per-pipeline group scan — or
-        to the next arrival batch. The pending set is per-pipeline
-        *index lanes* (positions into the sorted arrival columns) with
-        head cursors, so anchor selection and batch formation are a
-        handful of integer compares instead of deque walks, and the
-        event heap is never touched: the only dynamic event this
-        configuration can produce is chip-free, which the loop replaces
-        by recomputing ``min(free_at_s)`` over a static fleet.
-
-        Equivalence to :meth:`_run_scalar` (pinned by the goldens and
-        ``tests/test_serve_columnar.py``): while every chip is busy, a
-        scalar dispatch round is a no-op, so arrivals strictly before
-        the earliest free instant only ingest — batching them changes
-        nothing; arrivals *at* that instant ingest before the chip-free
-        wake (kind 0 < kind 2), which ``side="right"`` reproduces; and
-        within one instant arrivals ingest in sorted order, exactly the
-        arrival-seq order. Float order inside a batch is preserved
-        operation for operation in :meth:`_execute_columnar`.
-
-        Three extensions keep heavier configurations on this loop:
-
-        * **Per-tier lanes** — strict-tier multi-tenant traffic gets one
-          lane per (tier, pipeline); the anchor scan walks tiers most
-          premium first, so QoS dispatch order (premium drains first,
-          batches never mix tiers) is reproduced without the deque walk.
-          With one tier the addressing degenerates to the flat lanes.
-        * **Vectorized chip scoring** — stateless sharding policies
-          score over :class:`ChipScoreLanes` NumPy columns instead of
-          re-walking chip objects (round-robin keeps its stateful
-          cluster closure).
-
-        An observed run never gets here: the gate sends it to
-        :meth:`_run_scalar`, whose inline hooks are the one observer
-        path.
-        """
-        ordered = self._arrivals
-        arrival_t = self._arrival_t
-        arr_np = np.asarray(arrival_t)
-        n = len(ordered)
-        pipes = [request.pipeline for request in ordered]
-        # Pipeline-id column: vocabulary in first-appearance order.
-        vocab: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int64)
-        for j, name in enumerate(pipes):
-            code = vocab.get(name)
-            if code is None:
-                code = vocab[name] = len(vocab)
-            codes[j] = code
-        names = list(vocab)
-        n_codes = len(names)
-        # Per-(tier, pipeline) index lanes over the columns + head
-        # cursors; lane ``tier_rank * n_codes + code``. A single tenant
-        # class collapses to the flat per-pipeline addressing.
-        tiers = sorted({request.tenant.tier for request in ordered})
-        n_tiers = len(tiers)
-        multi_tier = n_tiers > 1
-        if multi_tier:
-            tier_rank = {tier: k for k, tier in enumerate(tiers)}
-            tier_of = np.empty(n, dtype=np.int64)
-            for j, request in enumerate(ordered):
-                tier_of[j] = tier_rank[request.tenant.tier]
-            lane_code = tier_of * n_codes + codes
-            tier_pending = [0] * n_tiers
-        else:
-            lane_code = codes
-            tier_pending = None
-        n_lanes = n_tiers * n_codes
-        lanes: list[list[int]] = [[] for _ in range(n_lanes)]
-        heads = [0] * n_lanes
-        pending = self._pending
-        counts = pending.counts
-        admission = self.admission
-        batcher = self.batcher
-        cluster = self.cluster
-        chips = cluster.chips
-        max_batch = batcher.max_batch
-        estimate = self._estimate
-        shed = self._shed
-        # Stateless policies score over NumPy chip columns; round-robin
-        # (stateful rotation pointer) keeps the cluster's closure.
-        policy = cluster.policy_name
-        score = (ChipScoreLanes(chips, policy, vocab)
-                 if policy in ChipScoreLanes.SUPPORTED else None)
-        cost_aware = policy == "cost-aware"
-
-        i = 0
-        now = 0.0
-        while True:
-            ef = chips[0].free_at_s
-            for chip in chips:
-                if chip.free_at_s < ef:
-                    ef = chip.free_at_s
-            if i < n:
-                t_arr = arrival_t[i]
-                if pending.n_pending and ef < t_arr:
-                    now = ef        # pure dispatch round at a chip-free
-                else:
-                    bound = ef if ef > t_arr else t_arr
-                    now = bound
-                    hi = int(arr_np.searchsorted(bound, side="right"))
-                    # -- ingest the arrival window [i, hi) --------------
-                    if admission is None:
-                        if hi - i >= 64:
-                            window = lane_code[i:hi]
-                            for code in np.unique(window):
-                                idx = np.nonzero(window == code)[0]
-                                lanes[code].extend((idx + i).tolist())
-                                if multi_tier:
-                                    tier_pending[int(code) // n_codes] += \
-                                        len(idx)
-                        else:
-                            if multi_tier:
-                                for j in range(i, hi):
-                                    lanes[lane_code[j]].append(j)
-                                    tier_pending[tier_of[j]] += 1
-                            else:
-                                for j in range(i, hi):
-                                    lanes[lane_code[j]].append(j)
-                        pending.n_pending += hi - i
-                    else:
-                        for j in range(i, hi):
-                            request = ordered[j]
-                            at = arrival_t[j]
-                            projected = self._project_wait(request, at)
-                            verdict = admission.admit(
-                                request, at, projected,
-                                estimate(request.pipeline),
-                                pending.n_pending,
-                            )
-                            if verdict is None:
-                                shed.append(ShedRecord(
-                                    request, at, admission.name, projected))
-                                continue
-                            name = pipes[j]
-                            lanes[lane_code[j]].append(j)
-                            if multi_tier:
-                                tier_pending[tier_of[j]] += 1
-                            counts[name] = counts.get(name, 0) + 1
-                            pending.n_pending += 1
-                    i = hi
-            else:
-                if pending.n_pending == 0:
-                    break
-                now = ef
-            # -- dispatch: place batches while work and idle coexist ----
-            while pending.n_pending > 0:
-                free = chips[0].free_at_s
-                for chip in chips:
-                    if chip.free_at_s < free:
-                        free = chip.free_at_s
-                if free > now:
-                    break
-                anchor = -1
-                anchor_lane = -1
-                if multi_tier:
-                    # Most premium tier with pending work anchors; its
-                    # oldest request picks the (tier, pipeline) lane.
-                    for k in range(n_tiers):
-                        if tier_pending[k] == 0:
-                            continue
-                        base = k * n_codes
-                        for code in range(base, base + n_codes):
-                            lane = lanes[code]
-                            head = heads[code]
-                            if head < len(lane) and (
-                                    anchor < 0 or lane[head] < anchor):
-                                anchor = lane[head]
-                                anchor_lane = code
-                        break
-                else:
-                    for code in range(n_lanes):
-                        lane = lanes[code]
-                        head = heads[code]
-                        if head < len(lane) and (
-                                anchor < 0 or lane[head] < anchor):
-                            anchor = lane[head]
-                            anchor_lane = code
-                lane = lanes[anchor_lane]
-                head = heads[anchor_lane]
-                take = head + max_batch
-                idx = lane[head:take]
-                heads[anchor_lane] = head + len(idx)
-                pending.n_pending -= len(idx)
-                if multi_tier:
-                    tier_pending[anchor_lane // n_codes] -= len(idx)
-                    pipe_code = anchor_lane % n_codes
-                else:
-                    pipe_code = anchor_lane
-                name = names[pipe_code]
-                if admission is not None:
-                    counts[name] -= len(idx)
-                taken = [ordered[j] for j in idx]
-                batch = batcher.make_batch(name, taken)
-                est_s = estimate(name)
-                if score is not None:
-                    if cost_aware:
-                        deadline = min(
-                            r.arrival_s + r.effective_slo_s for r in taken)
-                        chip = chips[score.select(
-                            pipe_code, now, est_s, deadline)]
-                    else:
-                        chip = chips[score.select(pipe_code, now, est_s)]
-                else:
-                    chip = cluster.select_chip(batch, now, est_s)
-                start = now if now >= chip.free_at_s else chip.free_at_s
-                self._execute_columnar(chip, batch, start, now)
-                if score is not None:
-                    score.note_dispatch(chip.chip_id, pipe_code,
-                                        chip.free_at_s)
-        return now
-
-    def _execute_columnar(self, chip: ChipState, batch: Batch,
-                          start_s: float, dispatched_s: float) -> None:
-        """Batch execution for the columnar path — the scalar pricing
-        loop with every disarmed feature's branches deleted, float
-        operation order intact. The batch's trace keys resolve through
-        one :meth:`TraceCache.get_many` pass (byte-identical ordering
-        to per-frame ``get`` calls, which run strictly back to back in
-        the scalar loop anyway) and are priced through one
-        :meth:`CostTable.price_many` pass, the pipeline switch is
-        hoisted (only a batch's first frame can switch; ``cycles + 0.0`` is bitwise
-        ``cycles``), per-chip counters accumulate through locals seeded
-        from — and written back to — the chip fields in the same order.
-        No chip-free event is pushed: the columnar loop recomputes the
-        fleet's earliest free instant."""
-        cache = self.cache
-        cost = self._cost
-        accelerator = chip.accelerator
-        clock = chip.config.clock_hz
-        latency_model = self.latency_model
-        responses = self._responses
-        est = self._est_by_pipeline
-        chip_id = chip.chip_id
-        batch_id = batch.batch_id
-        requests = batch.requests
-        pipeline = requests[0].pipeline
-        keys = [r.trace_key for r in requests]
-        accesses = cache.get_many(keys)
-        priced = cost.price_many(
-            keys, accelerator, [program for program, _, _ in accesses])
-        switch = 0.0
-        if chip.configured_pipeline != pipeline:
-            switch = float(chip.config.reconfigure_cycles)
-            chip.pipeline_switches += 1
-            chip.configured_pipeline = pipeline
-        served = chip.requests_served
-        frame_cycles = chip.frame_cycles
-        switch_cycles = chip.switch_cycles
-        reconfig_total = chip.frame_reconfig_cycles
-        energy_total = chip.energy_j
-        t = start_s
-        for request, access, row in zip(requests, accesses, priced):
-            _, cache_hit, cost_s = access
-            compile_wait = 0.0
-            origin = None
-            if not cache_hit and latency_model is not None:
-                # Synchronous visible compile: ``cost_s`` is the sim
-                # latency this miss just charged — the value the scalar
-                # loop reads back via ``cache.compile_cost_s``.
-                compile_wait = cost_s
-                origin = "sync"
-            cycles, reconfig_cycles, energy_j = row
-            service = (cycles + switch) / clock
-            finish = t + compile_wait + service
-            response = RenderResponse(
-                request=request,
-                chip_id=chip_id,
-                batch_id=batch_id,
-                start_s=t,
-                finish_s=finish,
-                cycles=cycles,
-                switch_cycles=switch,
-                frame_reconfig_cycles=reconfig_cycles,
-                energy_j=energy_j,
-                cache_hit=cache_hit,
-                compile_s=compile_wait,
-                compile_origin=origin,
-                dispatched_s=dispatched_s,
-            )
-            responses.append(response)
-            served += 1
-            frame_cycles += cycles
-            switch_cycles += switch
-            reconfig_total += reconfig_cycles
-            energy_total += energy_j
-            span = finish - t
-            t = finish
-            prior = est.get(pipeline)
-            if prior is None:
-                est[pipeline] = span
-            else:
-                est[pipeline] = prior + _SERVICE_EWMA_ALPHA * (span - prior)
-            switch = 0.0
-        chip.requests_served = served
-        chip.frame_cycles = frame_cycles
-        chip.switch_cycles = switch_cycles
-        chip.frame_reconfig_cycles = reconfig_total
-        chip.energy_j = energy_total
-        chip.busy_s += t - start_s
-        chip.free_at_s = t
 
     def _finalize(self, now: float) -> ServiceReport:
         pending = self._pending

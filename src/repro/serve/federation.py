@@ -61,7 +61,7 @@ from repro.serve.batcher import PipelineBatcher
 from repro.serve.cluster import ServeCluster
 from repro.serve.faults import FailedRecord
 from repro.serve.metrics import (ServiceReport, cached_percentile,
-                                 report_percentiles)
+                                 report_percentiles, service_figures)
 from repro.serve.request import RenderRequest, TraceKey
 from repro.serve.scheduler import simulate_service
 from repro.serve.trace_cache import TraceCache
@@ -75,6 +75,11 @@ DIURNAL_PERIOD_S = 4.0
 
 #: Router arms.
 ROUTERS = ("naive", "federated")
+
+#: Most sync epochs one federation run may take. Every epoch runs each
+#: serving region's engine, so a cadence that splits the traffic
+#: horizon finer than this is a mistake, not a workload.
+MAX_SYNC_EPOCHS = 1_000_000
 
 
 # ----------------------------------------------------------------------
@@ -530,17 +535,21 @@ class Region:
             if hits > hits_baseline.get(key, 0)
         }
         self.library.absorb(self.cache, run_hits=run_hits)
-        summary = report.summary
+        # The figures an epoch reads, without the report's full summary
+        # (percentiles, tenant tables).
+        end_s, mean_service_s, mean_queue_s = service_figures(
+            report.responses)
         alpha = self.config.service_ewma_alpha
         self.service_ewma_s = (
-            summary.mean_service_s if self.service_ewma_s == 0.0
+            mean_service_s if self.service_ewma_s == 0.0
             else (1.0 - alpha) * self.service_ewma_s
-            + alpha * summary.mean_service_s)
+            + alpha * mean_service_s)
         self.queue_ewma_s = ((1.0 - alpha) * self.queue_ewma_s
-                             + alpha * summary.mean_queue_s)
+                             + alpha * mean_queue_s)
         self.n_epochs_served += 1
-        self.chip_seconds += report.total_chip_seconds
-        self.cost_units += report.total_cost_units
+        # ServiceReport.total_chip_seconds / total_cost_units at end_s.
+        self.chip_seconds += sum(c.alive_s(end_s) for c in report.chips)
+        self.cost_units += sum(c.cost_units(end_s) for c in report.chips)
         self.epoch_timeline.append({
             "epoch": epoch,
             "t0": t0,
@@ -1076,7 +1085,13 @@ def simulate_federation(
 
     cadence = config.sync_cadence_s
     horizon = arrivals[-1][0]
-    n_epochs = int(horizon / cadence) + 1
+    ratio = horizon / cadence
+    if not ratio < MAX_SYNC_EPOCHS:   # also catches an infinite ratio
+        raise ConfigError(
+            f"sync_cadence_s={cadence!r} splits the {horizon!r} s traffic "
+            f"horizon into more than {MAX_SYNC_EPOCHS:,} sync epochs; "
+            "raise the cadence")
+    n_epochs = int(ratio) + 1
 
     completed: list[FederatedResponse] = []
     shed: list[ShedRecord] = []

@@ -171,6 +171,20 @@ def _response_rows(responses, tenants: dict[str, list]):
                r.hedged)
 
 
+def service_figures(
+        responses: list[RenderResponse]) -> tuple[float, float, float]:
+    """``(end_s, mean_service_s, mean_queue_s)`` alone, without the rest
+    of the summary: the same float64 columns, ``max`` and ``np.mean``
+    as :func:`summarize_responses`, so the values are bit-identical."""
+    n = len(responses)
+    arrival = np.fromiter((r.request.arrival_s for r in responses),
+                          np.float64, n)
+    start = np.fromiter((r.start_s for r in responses), np.float64, n)
+    finish = np.fromiter((r.finish_s for r in responses), np.float64, n)
+    return (float(finish.max()), float(np.mean(finish - start)),
+            float(np.mean(start - arrival)))
+
+
 def summarize_responses(responses: list[RenderResponse],
                         shed: list[ShedRecord]) -> ReportSummary:
     """One pass over ``responses`` (plus the shed list) for every figure

@@ -122,7 +122,9 @@ class RenderResponse:
     Constructed once per served request on the engine's hot path, so it
     is a plain slots dataclass — ``frozen=True`` would route every field
     through ``object.__setattr__`` and make construction ~8x slower.
-    Nothing mutates or hashes responses after the engine emits them."""
+    Nothing mutates or hashes responses after the engine emits them.
+    The engine passes the fields positionally (a 17-keyword call costs
+    ~3x a positional one), so their order is part of the contract."""
 
     request: RenderRequest
     chip_id: int

@@ -59,7 +59,6 @@ def simulate_service(
     observer: object | None = None,
     faults: "FaultPlan | None" = None,
     hedge: "HedgePolicy | bool | None" = None,
-    columnar: bool = True,
 ) -> ServiceReport:
     """Serve every admitted request on the fleet; returns the report.
 
@@ -111,15 +110,8 @@ def simulate_service(
     threshold onto a second chip; the first copy to finish wins and the
     report stays exactly-once.
 
-    ``columnar`` (default ``True``) lets eligible configurations — a
-    static fleet with synchronous compile and a non-rewriting admission
-    policy, including strict-tier multi-tenant traffic (tiers without
-    weighted budgets or preemption) — take the engine's columnar fast
-    loop. Autoscaling, faults, hedging, weighted admission, preemption,
-    async compile/prefetch, and an attached observer force the scalar
-    reference loop. The report is byte-identical
-    either way (pinned by the equivalence suite); ``columnar=False``
-    is the explicit escape hatch forcing the scalar event loop.
+    Every combination of these options runs through the engine's one
+    event loop; no option selects a different loop.
     """
     prefetcher = None
     if prefetch:
@@ -140,6 +132,5 @@ def simulate_service(
         observer=observer,
         faults=faults,
         hedge=hedge,
-        columnar=columnar,
     )
     return engine.run()

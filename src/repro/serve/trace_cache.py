@@ -99,7 +99,7 @@ class CostTable:
     Chips at the same design point render identical frames in identical
     cycles, so the fleet pays the performance model once per distinct
     (trace key, config) pair — O(distinct traces), however many requests
-    replay them. Rows are plain float tuples for the scalar event loop;
+    replay them. Rows are plain float tuples for the event loop;
     :meth:`as_arrays` exposes the same table as NumPy columns for
     analysis and bulk pricing. Each :class:`TraceCache` owns one
     (``cache.costs``), so a price outlives the run that paid for it.
@@ -108,6 +108,11 @@ class CostTable:
     def __init__(self) -> None:
         # Row index per design point, then per trace key.
         self._index: dict[AcceleratorConfig, dict[TraceKey, int]] = {}
+        # The same tables by config object identity: hashing a frozen
+        # AcceleratorConfig costs more than the row lookup itself. Each
+        # entry holds its config, so the id cannot be reused.
+        self._by_id: dict[int, tuple[AcceleratorConfig,
+                                     dict[TraceKey, int]]] = {}
         self._rows: list[tuple[float, float, float]] = []
         self._results: list[FrameResult] = []
 
@@ -124,9 +129,14 @@ class CostTable:
         program,
     ) -> tuple[float, float, float]:
         """``(cycles, frame_reconfig_cycles, energy_j)`` for this pair."""
-        table = self._index.get(accelerator.config)
-        if table is None:
-            table = self._index[accelerator.config] = {}
+        config = accelerator.config
+        entry = self._by_id.get(id(config))
+        if entry is None:
+            table = self._index.get(config)
+            if table is None:
+                table = self._index[config] = {}
+            entry = self._by_id[id(config)] = (config, table)
+        table = entry[1]
         idx = table.get(key)
         if idx is None:
             result = accelerator.simulate(program)
@@ -137,30 +147,6 @@ class CostTable:
             )
             self._results.append(result)
         return self._rows[idx]
-
-    def price_many(
-        self,
-        keys: list[TraceKey],
-        accelerator: UniRenderAccelerator,
-        programs: list,
-    ) -> list[tuple[float, float, float]]:
-        """:meth:`price` for each frame of one batch on one chip.
-
-        The design point's table is looked up once per batch instead of
-        once per frame (hashing an :class:`AcceleratorConfig` costs more
-        than the row lookup); only keys not yet priced at this design
-        point go through :meth:`price`."""
-        table = self._index.get(accelerator.config, {})
-        rows = self._rows
-        out = []
-        for key, program in zip(keys, programs):
-            idx = table.get(key)
-            if idx is None:
-                out.append(self.price(key, accelerator, program))
-                table = self._index[accelerator.config]
-            else:
-                out.append(rows[idx])
-        return out
 
     def result_for(
         self, key: TraceKey, config: AcceleratorConfig
@@ -289,6 +275,7 @@ class TraceCache:
         self._admit(key, program)
         return program, False
 
+    # Unused by the engine; kept for perfbench's get_many span (ROADMAP item 5).
     def get_many(
         self, keys: Sequence[TraceKey]
     ) -> list[tuple[MicroOpProgram, bool, float]]:

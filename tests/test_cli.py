@@ -279,3 +279,15 @@ class TestFederateCommand:
                      flag, value])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sync_ms", ["1e-320", "1e-300"])
+    def test_epoch_count_past_the_cap_is_a_clean_error(self, capsys,
+                                                       sync_ms):
+        # 1e-320 ms overflows horizon / cadence to inf; 1e-300 ms asks
+        # for ~1e302 epochs. Both must refuse before the first epoch.
+        code = main(["federate", "--regions", "a:chips=1",
+                     "--requests", "2", "--width", "32", "--height", "32",
+                     "--sync-ms", sync_ms])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "sync_cadence_s" in err

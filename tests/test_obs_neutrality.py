@@ -186,21 +186,19 @@ class TestSharedCacheMetrics:
     run's registry once that run ends: a later unobserved run on the
     same cache leaves the finished run's metrics untouched."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_later_run_does_not_count_into_finished_registry(self, columnar):
+    def test_later_run_does_not_count_into_finished_registry(self):
         trace = generate_traffic("bursty", n_requests=100, rate_rps=4000.0,
                                  seed=3, resolution=(64, 64), slo_s=0.002)
         cache = TraceCache(capacity=4,
                            compile_fn=lambda key: stub_program(key[1]))
         observer = full_observer()
         simulate_service(trace, ServeCluster(2), cache=cache,
-                         batcher=PipelineBatcher(), observer=observer,
-                         columnar=columnar)
+                         batcher=PipelineBatcher(), observer=observer)
         metrics = observer.metrics
         names = ("cache.hits", "cache.misses", "cache.evictions")
         before = {name: metrics.counter(name).value for name in names}
         assert before["cache.hits"] > 0
         simulate_service(trace, ServeCluster(2), cache=cache,
-                         batcher=PipelineBatcher(), columnar=columnar)
+                         batcher=PipelineBatcher())
         assert cache.stats.hits > before["cache.hits"]
         assert {name: metrics.counter(name).value for name in names} == before

@@ -11,9 +11,7 @@ a full observer × a warm trace library — and checks, for every draw:
   overlap on one chip;
 * **determinism** — the same draw run twice serializes identically;
 * **observer neutrality** — a fully observed run reports the same bytes
-  as the unobserved one;
-* **loop equivalence** — ``columnar=True`` and ``columnar=False`` report
-  the same bytes (ineligible draws fall back to the scalar loop).
+  as the unobserved one.
 
 Hypothesis runs derandomized with no example database, so the draws are
 the same on every machine and every run.
@@ -59,8 +57,8 @@ def combination(seed):
     Hypothesis's example mutation, which mostly re-runs near-copies of
     a few draws. Two draws in five are *static* — no autoscaler, async
     compile, preemption, faults, hedging, weighted or downgrade
-    admission — so the columnar loop is exercised too, not only its
-    fallback."""
+    admission — so plain synchronous batches (resolved in one cache
+    and pricing pass) are exercised as much as the feature paths."""
     rng = random.Random(seed)
     static = rng.random() < 0.4
     tenants = rng.random() < 0.5
@@ -110,7 +108,7 @@ def make_library():
         for scene in SCENES for pipeline in ("hashgrid", "gaussian")])
 
 
-def run(combo, trace, observer=None, columnar=True):
+def run(combo, trace, observer=None):
     """One simulation of ``combo``; every stateful input is built fresh."""
     horizon = max(r.arrival_s for r in trace) or 1e-3
     autoscaler = (make_elastic_autoscaler(min_chips=1, max_chips=4,
@@ -143,7 +141,6 @@ def run(combo, trace, observer=None, columnar=True):
         observer=observer,
         faults=faults,
         hedge=hedge,
-        columnar=columnar,
     )
 
 
@@ -184,5 +181,3 @@ def test_feature_combinations(seed):
     assert canon(run(combo, trace)) == reference, "not deterministic"
     assert canon(run(combo, trace, observer=full_observer())) == reference, \
         "the observer moved a number"
-    assert canon(run(combo, trace, columnar=False)) == reference, \
-        "the columnar and scalar loops disagree"

@@ -367,8 +367,7 @@ class TestBatcherEquivalence:
         lane_batches = []
         while index.n_pending:
             anchor = index.anchor(lambda r: True)
-            taken = index.take(anchor.pipeline, lanes.max_batch,
-                               lambda r: True)
+            taken = index.take(anchor, lanes.max_batch, lambda r: True)
             lane_batches.append(lanes.make_batch(anchor.pipeline,
                                                  taken).requests)
         assert lane_batches == scan_batches
@@ -408,7 +407,7 @@ class TestCacheEvictionOrder:
 class TestTieBreakContract:
     """The pinned ``(t, kind, seq)`` event ordering.
 
-    The engine's correctness under the columnar refactor hangs on one
+    The engine's correctness (arrival windows included) hangs on one
     total order (documented at the event-kind constants in
     ``engine.py``): events sort by timestamp, then by *kind* — arrivals
     (kind 0) before every dynamic event — then by monotonic insertion

@@ -590,29 +590,6 @@ def test_chaos_numbers_are_frozen(arm):
                                 + report.n_failed)
 
 
-@pytest.mark.parametrize("arm", ["naive", "hardened"])
-def test_chaos_arms_identical_across_columnar_flag(arm):
-    # Chaos arms configure faults (and, hardened, hedging + an
-    # autoscaler) — every one a scalar-only feature. ``columnar=True``
-    # (the library default ``_run`` rides) must silently fall back and
-    # reproduce the frozen scalar golden byte for byte.
-    import json
-
-    def one(flag):
-        trace = _gen(**CHAOS_WORKLOAD)
-        plan = chaos_plan(max(r.arrival_s for r in trace))
-        kwargs = dict(faults=plan, columnar=flag)
-        if arm == "hardened":
-            kwargs.update(hedge=CHAOS_HEDGE, autoscaler=chaos_autoscaler())
-        return simulate_service(
-            trace, ServeCluster(3), cache=TraceCache(capacity=64),
-            batcher=PipelineBatcher(max_batch=8), **kwargs)
-
-    reports = [json.dumps(one(flag).to_dict(), sort_keys=True)
-               for flag in (True, False)]
-    assert reports[0] == reports[1]
-
-
 def test_hedging_recovers_the_slo_cliff():
     # The acceptance headline: on the chip-loss storm, hedging plus
     # fault-aware autoscaling wins back >= 20 SLO points over the naive

@@ -43,6 +43,8 @@ from repro.serve import (
 )
 from repro.serve.autoscaler import Autoscaler
 from repro.serve.engine import EventEngine
+from repro.serve.metrics import service_figures
+from tests.test_obs_neutrality import full_observer
 from tests.test_serve_invariants import stub_program
 
 
@@ -260,6 +262,15 @@ class TestSummaryMatchesReference:
                 assert row[key] == value or (value != value
                                              and row[key] != row[key]), key
 
+    @pytest.mark.parametrize("run", [static_run, tenant_run, chaos_run])
+    def test_service_figures_match_the_summary(self, run):
+        # A federation epoch reads these three alone; they must be the
+        # summary's values bit for bit.
+        report = run()
+        summary = report.summary
+        assert service_figures(report.responses) == (
+            summary.end_s, summary.mean_service_s, summary.mean_queue_s)
+
     def test_federation_summary_equals_per_response_scoring(self):
         report = federation_run()
         completed = report.completed
@@ -305,14 +316,15 @@ class TestCachedSummary:
 
 class TestEngineLedger:
     @pytest.mark.parametrize("corrupt", ["drop", "duplicate", "phantom_shed"])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_unbalanced_ledger_raises(self, corrupt, columnar):
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_unbalanced_ledger_raises(self, corrupt, observed):
+        # The ledger check holds whether or not an observer is attached.
         trace = generate_traffic("bursty", n_requests=80, rate_rps=2000.0,
                                  seed=2, scenes=("lego",),
                                  resolution=(64, 64))
         engine = EventEngine(trace, ServeCluster(2), cache=stub_cache(),
-                             columnar=columnar)
-        run_loop = engine._run_columnar if columnar else engine._run_scalar
+                             observer=full_observer() if observed else None)
+        run_loop = engine._run_loop
 
         def corrupted_loop():
             now = run_loop()
@@ -324,10 +336,7 @@ class TestEngineLedger:
                 engine._shed.append(engine._responses[0])
             return now
 
-        if columnar:
-            engine._run_columnar = corrupted_loop
-        else:
-            engine._run_scalar = corrupted_loop
+        engine._run_loop = corrupted_loop
         with pytest.raises(SimulationError, match="ledger does not balance"):
             engine.run()
 
