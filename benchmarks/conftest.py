@@ -22,20 +22,32 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_engine.json"
 
+#: Every scenario a test in ``benchmarks/test_engine_perf.py`` records.
+#: The recorder drops any other key, so a deleted scenario's figure does
+#: not linger in the file.
+ENGINE_SCENARIOS = (
+    "bare", "qos_columnar", "qos_preempt", "autoscale_reactive",
+    "autoscale_predictive", "obs_disabled", "obs_full_tracing",
+    "fault_injection", "federation",
+)
+
 try:
     import fcntl
 except ImportError:  # non-POSIX: merge without inter-process locking
     fcntl = None
 
 
-def merge_bench_file(path: pathlib.Path, entries: dict[str, dict]) -> dict:
+def merge_bench_file(path: pathlib.Path, entries: dict[str, dict],
+                     live: tuple[str, ...] | None = None) -> dict:
     """Merge scenario measurements into the JSON recorder at ``path``.
 
     A partial run (``pytest benchmarks/test_engine_perf.py -k bare``, or
     one ``-n`` worker's slice) must refresh only the scenarios it
-    measured — never clobber the rest. The read-modify-write happens
-    under an exclusive ``flock`` so concurrent workers serialize instead
-    of losing each other's scenarios. Returns the merged mapping.
+    measured — never clobber the rest. With ``live``, keys outside it
+    (scenarios no test records any more) are dropped. The
+    read-modify-write happens under an exclusive ``flock`` so concurrent
+    workers serialize instead of losing each other's scenarios. Returns
+    the merged mapping.
     """
     with open(path, "a+", encoding="utf-8") as handle:
         if fcntl is not None:
@@ -44,6 +56,8 @@ def merge_bench_file(path: pathlib.Path, entries: dict[str, dict]) -> dict:
         raw = handle.read()
         merged = json.loads(raw).get("scenarios", {}) if raw.strip() else {}
         merged.update(entries)
+        if live is not None:
+            merged = {name: merged[name] for name in merged if name in live}
         handle.seek(0)
         handle.truncate()
         handle.write(json.dumps(
@@ -91,4 +105,4 @@ def record_bench():
 
     if entries:
         RESULTS_DIR.mkdir(exist_ok=True)
-        merge_bench_file(BENCH_JSON, entries)
+        merge_bench_file(BENCH_JSON, entries, live=ENGINE_SCENARIOS)

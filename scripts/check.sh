@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One-command verify: clean stale bytecode, fail fast on collection
 # errors, run the tier-1 suite (with the scheduler invariant, chaos,
+# pinned report digests (tests/test_serve_columnar.py: the SHA-256 of
+# every former columnar, chaos, hedge and preempt scenario),
 # observability (exporter byte identity, P² bit identity) and
 # probe-kernel bit-identity suites called out
 # explicitly, so they still run if testpaths ever change), pin the
@@ -49,7 +51,7 @@ python -m pytest -q tests/test_serve_invariants.py tests/test_serve_tenants.py \
   tests/test_serve_predictive.py tests/test_serve_faults.py \
   tests/test_serve_federation.py tests/test_artifact_durability.py \
   tests/test_serve_traffic.py tests/test_serve_combinations.py \
-  tests/test_spec_fuzz.py
+  tests/test_spec_fuzz.py tests/test_serve_columnar.py
 python -m pytest -q tests/test_obs_tracer.py tests/test_obs_metrics.py \
   tests/test_obs_export.py tests/test_obs_flight.py tests/test_obs_neutrality.py
 python -m pytest -q tests/test_probe_kernels.py

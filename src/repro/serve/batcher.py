@@ -29,20 +29,12 @@ class Batch:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def oldest_arrival_s(self) -> float:
-        return min(r.arrival_s for r in self.requests)
-
 
 @dataclass
 class BatcherStats:
     batches: int = 0
     requests: int = 0
     sizes: list[int] = field(default_factory=list)
-
-    @property
-    def mean_size(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
 
 
 class PipelineBatcher:

@@ -240,7 +240,7 @@ SHARDING_POLICIES: dict[str, Callable[[], ShardingPolicy]] = {
 }
 
 
-# Unused; kept only for perfbench's ChipScoreLanes.select span (ROADMAP item 5).
+# Unused; kept only for perfbench's ChipScoreLanes.select span (ROADMAP item 6).
 class ChipScoreLanes:
     """Vectorized chip scoring over a static fleet.
 
@@ -462,7 +462,7 @@ class ServeCluster:
     def n_available(self) -> int:
         """Active chips that are actually up — provisioned capacity
         minus crashed chips. Equals :attr:`n_active` on healthy runs."""
-        return sum(1 for chip in self.chips if chip.available)
+        return sum(1 for chip in self._active if chip.down_since_s is None)
 
     @property
     def lifetime_dirty(self) -> bool:

@@ -1,10 +1,11 @@
 """The unified discrete-event engine of the rendering service.
 
-One event queue drives the whole serving stack — *arrival*,
-*compile-done*, *chip-free*, and *scale-tick* events — replacing the
-seed's ad-hoc two-clock loop. :class:`ServeCluster`,
+One event loop (:meth:`EventEngine._run_loop`) drives the whole serving
+stack — *arrival*, *compile-done*, *chip-free* and *scale-tick* events,
+plus crash, recovery and hedge-settle events under chaos. Every
+configuration runs through it; :class:`ServeCluster`,
 :class:`Autoscaler`, :class:`AdmissionPolicy`, and
-:class:`PipelineBatcher` all plug into the same loop:
+:class:`PipelineBatcher` all plug into it:
 
 * **arrival** — the admission policy rules on the request at its
   arrival instant (projections now include any compile backlog its
@@ -53,12 +54,19 @@ cache never price a pair twice.
 Multi-tenant QoS rides the same loop: the pending index keeps one
 master queue *per priority tier* (queued premium work always anchors
 before economy; batches never mix tiers), weighted admission budgets
-each arrival's projected wait against its tenant's share of the fleet,
-and ``preempt=True`` adds dispatch-ahead staging — the next batch is
-pre-assigned to each busy chip but stays *queued* until the chip frees,
-so a premium arrival can displace a staged economy batch back into its
-pipeline lane (and displaced work may migrate to a chip the autoscaler
-warmed in the meantime).
+each arrival's projected wait against its tenant's share of the fleet
+(the index keeps the per-tenant backlog it reads), and ``preempt=True``
+adds dispatch-ahead staging — the next batch is pre-assigned to each
+busy chip but stays *queued* until the chip frees, so a premium arrival
+can displace a staged economy batch back into its pipeline lane (and
+displaced work may migrate to a chip the autoscaler warmed in the
+meantime).
+
+Each optional feature's state has one owner that exists only when the
+feature is armed: the pending index owns the tenant backlog,
+:class:`_Hedging` owns the hedge pairs and their counters, and
+:class:`_Faults` owns the fault plan, crash limbo and fault counters.
+An unarmed feature costs one ``None`` check per site.
 
 With ``compile_workers=0`` and no latency model the engine reproduces
 the synchronous baseline event-for-event and bit-for-bit: the golden
@@ -77,7 +85,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from repro.core.config import CompileLatencyModel
 from repro.core.simulator import FrameResult
@@ -137,6 +145,10 @@ _HEDGE_SETTLE = 6
 _SPEED_EWMA_ALPHA = 0.3
 
 
+#: Pricing-time ingest record of a request that never went through
+#: async ingest (a hedge clone): a miss, no prefetch, no compile charge.
+_NOT_INGESTED = (False, False, None)
+
 #: The canonical arrival sort key (and arrival-seq assignment) —
 #: ``(arrival_s, request_id)`` as a C-implemented attrgetter.
 _arrival_order = operator.attrgetter("arrival_s", "request_id")
@@ -174,7 +186,7 @@ class CompileWorkerPool:
     Jobs go to the worker that frees earliest (ties to the lowest
     index); each occupies its worker for the model's simulated latency.
     Prefetch jobs are only submitted when a worker is idle *right now*
-    (see :meth:`idle_worker`), so warming the cache never delays demand
+    (see :meth:`idle_count`), so warming the cache never delays demand
     compiles that are already queued.
     """
 
@@ -205,16 +217,9 @@ class CompileWorkerPool:
             self.stats.prefetch_jobs += 1
         return done
 
-    def idle_worker(self, now: float) -> bool:
-        """True when at least one worker could start a job immediately."""
-        return any(free <= now for free in self._free_at)
-
     def idle_count(self, now: float) -> int:
+        """Workers that could start a job immediately."""
         return sum(1 for free in self._free_at if free <= now)
-
-    def utilization(self, horizon_s: float) -> float:
-        total = self.n_workers * horizon_s
-        return self.stats.busy_s / total if total > 0 else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +513,14 @@ class _PendingIndex:
     by the other. :meth:`restore` is the preemption path's inverse of
     :meth:`take`: displaced (never-started) batch members re-enter every
     structure in original arrival order.
+
+    With ``tenant_aware`` (weighted admission) the index also keeps each
+    tenant's queued count per pipeline, and the tenant's weight, through
+    the same push / take / restore / cancel calls that move requests —
+    so the backlog signal can never drift from the queue it describes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tenant_aware: bool = False) -> None:
         self.masters: dict[int, deque[RenderRequest]] = {}
         self._tiers: list[int] = []       # sorted keys of ``masters``
         #: tier -> pipeline -> lane
@@ -519,6 +529,22 @@ class _PendingIndex:
         self.n_pending = 0
         self._gone_master: set[int] = set()
         self._gone_lane: set[int] = set()
+        #: tenant name -> pipeline -> queued count (``None`` unless
+        #: tenant-aware); weights in first-seen tenant order.
+        self.tenant_counts: Optional[dict[str, dict[str, int]]] = (
+            {} if tenant_aware else None)
+        self.tenant_weight: dict[str, float] = {}
+
+    def _count_tenants(self, requests: Iterable[RenderRequest],
+                       delta: int) -> None:
+        counts = self.tenant_counts
+        for request in requests:
+            tenant = request.tenant
+            per = counts.get(tenant.name)
+            if per is None:
+                per = counts[tenant.name] = {}
+                self.tenant_weight[tenant.name] = tenant.weight
+            per[request.pipeline] = per.get(request.pipeline, 0) + delta
 
     def _lane(self, tier: int, pipeline: str) -> deque[RenderRequest]:
         """The (tier, pipeline) lane, created on first use (with its
@@ -539,6 +565,21 @@ class _PendingIndex:
         self.masters[tier].append(request)
         self.counts[request.pipeline] = self.counts.get(request.pipeline, 0) + 1
         self.n_pending += 1
+        if self.tenant_counts is not None:
+            self._count_tenants((request,), 1)
+
+    def live(self, stop=None) -> Iterator[RenderRequest]:
+        """Pending requests, most premium tier first, each tier in queue
+        (arrival) order; ``stop(request)`` ends that tier's walk. Do not
+        restore while iterating: a merge rebuilds the master deques."""
+        gone = self._gone_master
+        for tier in self._tiers:
+            for request in self.masters[tier]:
+                if request.request_id in gone:
+                    continue
+                if stop is not None and stop(request):
+                    break
+                yield request
 
     def anchor(self, is_ready) -> Optional[RenderRequest]:
         """Oldest pending *ready* request of the most premium tier that
@@ -594,6 +635,8 @@ class _PendingIndex:
                     gone.add(request.request_id)
             for request in taken:
                 self._gone_master.add(request.request_id)
+            if self.tenant_counts is not None:
+                self._count_tenants(taken, -1)
         return taken
 
     def restore(self, requests: Sequence[RenderRequest]) -> None:
@@ -619,6 +662,8 @@ class _PendingIndex:
             self._merge_missing(self.masters[tier], members)
         self.counts[pipeline] += len(requests)
         self.n_pending += len(requests)
+        if self.tenant_counts is not None:
+            self._count_tenants(requests, 1)
 
     def cancel(self, request: RenderRequest) -> None:
         """Remove a still-queued request outright (hedge cancellation:
@@ -629,6 +674,17 @@ class _PendingIndex:
         self._gone_lane.add(request.request_id)
         self.counts[request.pipeline] -= 1
         self.n_pending -= 1
+        if self.tenant_counts is not None:
+            self._count_tenants((request,), -1)
+
+    def stray_counts(self) -> dict:
+        """Non-zero backlog counters, per pipeline and per tenant — all
+        must be zero once nothing is pending."""
+        stray = {pipeline: n for pipeline, n in self.counts.items() if n}
+        for name, per in (self.tenant_counts or {}).items():
+            stray.update({(name, pipeline): n
+                          for pipeline, n in per.items() if n})
+        return stray
 
     @staticmethod
     def _merge_missing(queue: deque, requests: Sequence[RenderRequest]) -> None:
@@ -666,6 +722,260 @@ class _StagedBatch:
         # QoS batches are single-tier (tier-filtered take), so the
         # first member speaks for the batch.
         return self.batch.requests[0].tenant.tier
+
+
+# ----------------------------------------------------------------------
+# Chaos: request hedging and fault injection
+# ----------------------------------------------------------------------
+class _HedgePair:
+    """One hedged request: the original, the chip each copy ran on, the
+    finished copies ``(copy id, response, chip)``, and whether
+    first-completion-wins has settled it."""
+
+    __slots__ = ("original", "chips", "candidates", "settled")
+
+    def __init__(self, original: RenderRequest) -> None:
+        self.original = original
+        self.chips: dict[int, int] = {}
+        self.candidates: list[tuple[int, RenderResponse, ChipState]] = []
+        self.settled = False
+
+
+class _Hedging:
+    """Request hedging; the engine builds one only for an armed policy.
+
+    A ready queued request older than a quantile of recent queue waits
+    gets a clone (id ``~id``, never a real id) that re-enters the pending
+    index; the first copy to finish is the pair's one response, other
+    finished copies are wasted work, a still-queued copy is cancelled.
+    """
+
+    def __init__(self, policy: HedgePolicy, pending: _PendingIndex,
+                 obs: Optional[Observer]) -> None:
+        self.policy = policy
+        self.pending = pending
+        self.obs = obs
+        self.waits: deque[float] = deque(maxlen=policy.window)
+        self.n_samples = 0
+        self._threshold: Optional[float] = None
+        self._cached_at = -1
+        self.pairs: dict[int, _HedgePair] = {}        # either copy's id
+        self.queued: dict[int, RenderRequest] = {}    # copies still queued
+        self.n_hedged = self.n_wins = self.n_wasted = self.n_cancelled = 0
+        self.wasted_s = 0.0
+
+    def note_wait(self, wait_s: float) -> None:
+        self.waits.append(wait_s)
+        self.n_samples += 1
+
+    def threshold(self) -> Optional[float]:
+        """Queue-age threshold (None while warming up), re-sorted from
+        the sample window at most once per 8 new samples."""
+        policy = self.policy
+        n = self.n_samples
+        if n < policy.min_samples:
+            return None
+        if self._threshold is None or n - self._cached_at >= 8:
+            ordered = sorted(self.waits)
+            idx = min(len(ordered) - 1, int(policy.quantile * len(ordered)))
+            self._threshold = policy.multiplier * ordered[idx]
+            self._cached_at = n
+        return self._threshold
+
+    def maybe_hedge(self, now: float, cluster: ServeCluster,
+                    is_ready) -> None:
+        """Clone every ready, unhedged request whose queue age crossed
+        the threshold; the selection mask sends clones to other chips."""
+        threshold = self.threshold()
+        if threshold is None or cluster.n_available < 2:
+            return  # warming up, or a duplicate could only share a chip
+        pairs = self.pairs
+        victims = [
+            request for request in self.pending.live(
+                lambda request: now - request.arrival_s <= threshold)
+            if request.request_id >= 0 and request.request_id not in pairs
+            and (is_ready is None or is_ready(request))]
+        for request in victims:
+            orig_id = request.request_id
+            clone = replace(request, request_id=~orig_id)
+            pairs[orig_id] = pairs[clone.request_id] = _HedgePair(request)
+            self.pending.restore([clone])
+            self.queued[orig_id] = request
+            self.queued[clone.request_id] = clone
+            self.n_hedged += 1
+            if self.obs is not None:
+                self.obs.on_hedge(now, orig_id, now - request.arrival_s)
+
+    def note_taken(self, taken: Sequence[RenderRequest]) -> None:
+        for request in taken:
+            self.queued.pop(request.request_id, None)
+
+    def note_restored(self, members: Sequence[RenderRequest]) -> None:
+        """Re-queued copies register as queued again — except a copy
+        whose pair already settled, which is cancelled on the spot (a
+        re-queued duplicate would strand in pending)."""
+        for member in members:
+            pair = self.pairs.get(member.request_id)
+            if pair is not None and pair.settled:
+                self.pending.cancel(member)
+                self.n_cancelled += 1
+            elif pair is not None:
+                self.queued[member.request_id] = member
+
+    def split_pairs(self, taken: list[RenderRequest]) -> list[RenderRequest]:
+        """Both copies of a pair in one batch defeats the hedge: keep
+        the first copy of each pair, put the rest straight back."""
+        seen: set = set()
+        keep: list[RenderRequest] = []
+        put_back: list[RenderRequest] = []
+        for request in taken:
+            pair = self.pairs.get(request.request_id)
+            if pair is not None and pair in seen:
+                put_back.append(request)
+            else:
+                seen.add(pair)
+                keep.append(request)
+        if put_back:
+            self.pending.restore(put_back)
+            self.note_restored(put_back)
+        return keep
+
+    def sibling_chips(self, members: Sequence[RenderRequest]) -> set[int]:
+        """Chips where a member's hedge sibling ran."""
+        avoid: set[int] = set()
+        for request in members:
+            pair = self.pairs.get(request.request_id)
+            if pair is not None and ~request.request_id in pair.chips:
+                avoid.add(pair.chips[~request.request_id])
+        return avoid
+
+    def settle(self, orig_id: int):
+        """First-completion-wins: ``(response, chip, clone won)`` of the
+        earliest-finishing copy, or None if the pair already settled."""
+        pair = self.pairs.get(orig_id)
+        if pair is None or pair.settled:
+            return None
+        pair.settled = True
+        rid_w, response, chip = min(
+            pair.candidates,
+            key=lambda entry: (entry[1].finish_s,
+                               0 if entry[0] == orig_id else 1))
+        if rid_w != orig_id:
+            self.n_wins += 1
+        for rid_l, loser, chip_l in pair.candidates:
+            if rid_l != rid_w:
+                self.n_wasted += 1
+                self.wasted_s += loser.service_s
+                chip_l.lost_work_s += loser.service_s
+        for copy_id in (orig_id, ~orig_id):
+            queued = self.queued.pop(copy_id, None)
+            if queued is not None:
+                self.pending.cancel(queued)
+                self.n_cancelled += 1
+        return response, chip, rid_w != orig_id
+
+    def stats_dict(self) -> dict:
+        return {"policy": self.policy.to_dict(), "n_hedged": self.n_hedged,
+                "n_wins": self.n_wins, "n_wasted": self.n_wasted,
+                "n_cancelled": self.n_cancelled,
+                "wasted_work_s": self.wasted_s}
+
+
+class _Faults:
+    """Fault injection; the engine builds one only for a non-empty plan.
+
+    Owns the plan, the work stranded on crashing chips, requeue counts,
+    the per-chip speed EWMA admission divides by, and the counters. A
+    chip's down state lives on the chip (``down_since_s``) alone.
+    """
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        # Work truncated off a crashing chip waits here until the crash
+        # instant actually arrives (the engine executes batches eagerly;
+        # re-queueing at dispatch time would let the scheduler react to
+        # a failure before it happened).
+        self.limbo: dict[int, list[RenderRequest]] = {}
+        self.requeues: dict[int, int] = {}     # request_id -> crashes survived
+        self.speed: dict[int, float] = {}      # chip_id -> dilation EWMA
+        self.n_crashes = self.n_permanent = 0
+        self.n_recoveries = self.n_requeued = 0
+        self.rollback_s = 0.0
+        self.recovery_s = 0.0
+
+    def capacity(self, cluster: ServeCluster) -> float:
+        """Sum of learned per-chip speeds over the chips that are up
+        (at least half a chip: a dead fleet projects a huge wait)."""
+        capacity = 0.0
+        for chip in cluster.active_chips:
+            if chip.down_since_s is None:
+                capacity += 1.0 / self.speed.get(chip.chip_id, 1.0)
+        return max(capacity, 0.5)
+
+    def abort(self, chip: ChipState, members: Sequence[RenderRequest],
+              crash, frame_start_s: float, batch_start_s: float) -> None:
+        """The chip dies mid-batch: chip time up to the crash is busy,
+        the partial frame's share of it lost work; the un-run members
+        (partial frame included) wait in limbo for the crash *event*,
+        and the chip stays unselectable until it recovers."""
+        chip.busy_s += max(0.0, crash.at_s - batch_start_s)
+        chip.lost_work_s += max(0.0, crash.at_s - frame_start_s)
+        chip.free_at_s = max(chip.free_at_s, crash.recover_at_s)
+        self.limbo.setdefault(chip.chip_id, []).extend(members)
+
+    def take_down(self, cluster: ServeCluster, now: float,
+                  crash) -> Optional[ChipState]:
+        """Mark the crash's chip down; None when the crash is a no-op
+        (a chip this fleet never had, retired, or already down)."""
+        if crash.chip_id >= len(cluster.chips):
+            return None
+        chip = cluster.chips[crash.chip_id]
+        if not chip.active or chip.down_since_s is not None:
+            return None
+        chip.down_since_s = now
+        chip.n_crashes += 1
+        chip.free_at_s = max(chip.free_at_s, crash.recover_at_s)
+        self.n_crashes += 1
+        self.n_permanent += crash.down_s is None
+        return chip
+
+    def bring_up(self, cluster: ServeCluster, now: float,
+                 crash) -> Optional[ChipState]:
+        """Close the crash's outage; None when it never took effect."""
+        if crash.chip_id >= len(cluster.chips):
+            return None
+        chip = cluster.chips[crash.chip_id]
+        if chip.down_since_s is None:
+            return None
+        chip.down_s += now - chip.down_since_s
+        chip.down_since_s = None
+        self.n_recoveries += 1
+        self.recovery_s += now - crash.at_s
+        return chip
+
+    def take_limbo(self, chip_id: int) -> list[RenderRequest]:
+        """A crashed chip's stranded work; each member's retry will pay
+        the plan's rollback."""
+        limbo = self.limbo.pop(chip_id, [])
+        for member in limbo:
+            rid = member.request_id
+            self.requeues[rid] = self.requeues.get(rid, 0) + 1
+        self.n_requeued += len(limbo)
+        return limbo
+
+    def stats_dict(self, n_failed: int, chips: Sequence[ChipState]) -> dict:
+        recoveries = self.n_recoveries
+        return {
+            "n_crashes": self.n_crashes,
+            "n_permanent": self.n_permanent,
+            "n_recoveries": recoveries,
+            "n_requeued": self.n_requeued,
+            "n_failed": n_failed,
+            "lost_work_s": sum(c.lost_work_s for c in chips),
+            "rollback_s": self.rollback_s,
+            "mean_recovery_s": (self.recovery_s / recoveries
+                                if recoveries else None),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -787,15 +1097,10 @@ class EventEngine:
         self._preempt_count: dict[int, int] = {}     # request_id -> times
         self._displaced_from: dict[int, int] = {}    # request_id -> chip_id
         self.n_preemptions = 0                       # displacement events
-        # Weighted admission budgets the queue per tenant share, which
-        # needs per-tenant backlog counters the single-tenant hot path
-        # should not pay for.
-        self._tenant_aware = admission is not None and getattr(
-            admission, "tenant_aware", False)
-        self._tenant_pending: dict[str, dict[str, int]] = {}
-        self._tenant_weight: dict[str, float] = {}
-
-        self._pending = _PendingIndex()
+        # Weighted admission budgets the queue per tenant share, so only
+        # a tenant-aware policy makes the index count tenant backlogs.
+        self._pending = _PendingIndex(tenant_aware=getattr(
+            admission, "tenant_aware", False))
         self._cost = self.cache.costs
         self._responses: list[RenderResponse] = []
         self._shed: list[ShedRecord] = []
@@ -812,9 +1117,9 @@ class EventEngine:
         # another, and with a cache smaller than the working set the
         # pool would chase its own evictions forever.
         self._prefetch_evicted: set[TraceKey] = set()
-        self._ingest_hit: dict[int, bool] = {}
-        self._ingest_prefetched: dict[int, bool] = {}
-        self._compile_charge: dict[int, float] = {}
+        #: request_id -> (cache hit, first use of a prefetch, compile
+        #: latency it triggered or None), read when its frame prices.
+        self._ingested: dict[int, tuple[bool, bool, Optional[float]]] = {}
         # Completions not yet visible to the autoscaler's SLO window
         # (no clairvoyance): a finish-ordered heap.
         self._inflight: list[tuple[float, int, bool]] = []
@@ -825,8 +1130,8 @@ class EventEngine:
         # Arrivals are the overwhelming majority of events, and they are
         # already sorted — so they stay in their list (plus a parallel
         # timestamp column for windowed scans) instead of paying one
-        # heap entry each. The heap carries only dynamic events. The run
-        # loops merge the two streams in exactly the old single-heap
+        # heap entry each. The heap carries only dynamic events. The loop
+        # merges the two streams in exactly the old single-heap
         # ``(t, kind, seq)`` order: arrivals are kind ``_ARRIVAL`` (0)
         # with seqs ``0..n-1`` from the sort, so at any instant they
         # ingest — in arrival order — before every dynamic event.
@@ -839,40 +1144,14 @@ class EventEngine:
         # An attached-but-empty plan normalizes to None, so fault-free
         # runs (reports included) stay byte-identical whether or not a
         # FaultPlan object was passed.
-        self._faults = resolve_faults(faults)
-        self._hedge = resolve_hedge(hedge)
-        self._down_chips: set[int] = set()
-        # Work truncated off a crashing chip waits here until the crash
-        # instant actually arrives (the engine executes batches eagerly;
-        # re-queueing at dispatch time would let the scheduler react to
-        # a failure before it happened).
-        self._crash_limbo: dict[int, list[RenderRequest]] = {}
-        self._requeue_count: dict[int, int] = {}
-        self._chip_speed: dict[int, float] = {}
         self._failed: list[FailedRecord] = []
-        self._fault_counts = {"crashes": 0, "permanent": 0,
-                              "recoveries": 0, "requeued": 0}
-        self._rollback_charged_s = 0.0
-        self._recovery_total_s = 0.0
-        if self._hedge is not None:
-            self._hedge_waits: deque[float] = deque(
-                maxlen=self._hedge.window)
-            self._n_wait_samples = 0
-            self._hedge_threshold_cache: Optional[float] = None
-            self._hedge_cached_at = -1
-            # Pair state, keyed by the *original* request id; a clone's
-            # id is the bitwise complement (~id < 0 never collides with
-            # a real request id, and ~~id round-trips).
-            self._hedge_state: dict[int, dict] = {}
-            self._hedge_of: dict[int, int] = {}      # clone id -> original
-            self._hedge_queued: dict[int, RenderRequest] = {}
-            self.n_hedges = 0
-            self.n_hedge_wins = 0
-            self.n_hedge_wasted = 0
-            self.n_hedge_cancelled = 0
-            self._hedge_wasted_s = 0.0
-        if self._faults is not None:
-            for crash in self._faults.crashes:
+        plan = resolve_faults(faults)
+        self._faults = _Faults(plan) if plan is not None else None
+        policy = resolve_hedge(hedge)
+        self._hedging = (_Hedging(policy, self._pending, self._obs)
+                         if policy is not None else None)
+        if plan is not None:
+            for crash in plan.crashes:
                 self._push(crash.at_s, _CHIP_CRASH, crash)
                 if crash.down_s is not None:
                     self._push(crash.recover_at_s, _CHIP_RECOVER, crash)
@@ -934,7 +1213,7 @@ class EventEngine:
             # (the stalled latency is what the pool occupies a worker
             # for, what demand requests wait on, and what the cache
             # records as this trace's compile cost).
-            latency *= self._faults.compile_dilation(now)
+            latency *= self._faults.plan.compile_dilation(now)
         pool = self.pool
         done = pool.submit(now, latency, demand=demand)
         self._waiting_done_s[key] = done
@@ -968,77 +1247,50 @@ class EventEngine:
             if self._obs is not None:
                 self._obs.on_prefetch_issue(now, key)
 
-    # -- fleet capacity (fault-aware) -----------------------------------
-    def _fleet_capacity(self) -> float:
-        """Effective parallel capacity the admission projection divides
-        by. Fault-free: exactly ``max(1, n_active)`` (the historical
-        model, bit for bit). Under a fault plan: the sum of learned
-        per-chip speeds over chips that are actually *up* — a crashed
-        chip contributes nothing and a straggling chip contributes
-        ``1/dilation``, so projected waits stretch and slo-shed starts
-        refusing work the degraded fleet could never serve in time."""
-        cluster = self.cluster
-        if self._faults is None:
-            return float(max(1, cluster.n_active))
-        speed = self._chip_speed
-        capacity = 0.0
-        for chip in cluster.chips:
-            if chip.available:
-                capacity += 1.0 / speed.get(chip.chip_id, 1.0)
-        # A fully-down fleet still projects against half a chip rather
-        # than dividing by zero; the wait is enormous either way.
-        return max(capacity, 0.5)
-
     # -- arrival ingestion ----------------------------------------------
     def _project_wait(self, request: RenderRequest, at: float) -> float:
         """Projected queue wait at the arrival instant: time until a chip
-        frees, plus the backlog ahead (queued same-pipeline requests
-        serialize into this request's batch; the rest spreads over the
-        fleet), plus any compile backlog the trace itself would wait on."""
-        cluster = self.cluster
-        wait = max(0.0, cluster.earliest_free_s - at)
-        counts = self._pending.counts
-        pipeline = request.pipeline
-        same = counts.get(pipeline, 0) * self._estimate(pipeline)
-        other = 0.0
-        for queued_pipeline, count in counts.items():
-            if queued_pipeline != pipeline and count:
-                other += count * self._estimate(queued_pipeline)
-        wait = wait + same + other / self._fleet_capacity()
-        if self.async_compile:
-            done = self._waiting_done_s.get(request.trace_key)
-            if done is not None:
-                wait = max(wait, done - at)
-            elif request.trace_key not in self.cache:
-                wait = max(wait, self.latency_model.base_s)
-        return wait
+        frees, plus the backlog ahead over the fleet's capacity, plus any
+        compile backlog the trace itself would wait on.
 
-    def _project_wait_weighted(self, request: RenderRequest,
-                               at: float) -> float:
-        """Tenant-share projection for weighted admission: time until a
-        chip frees, plus the tenant's **own** queued backlog spread over
-        the slice of the fleet its weight entitles it to. Another
-        tenant's flood inflates only that tenant's projection."""
-        cluster = self.cluster
-        wait = max(0.0, cluster.earliest_free_s - at)
-        tenant = request.tenant
+        Capacity is ``max(1, n_active)`` chips, or under faults the
+        learned speeds of the chips that are up. The backlog ahead is the
+        queued same-pipeline requests (they serialize into this batch)
+        plus the other pipelines' spread over the fleet — or, under
+        weighted admission, the tenant's **own** backlog over its
+        weighted slice of the fleet, so one tenant's flood inflates only
+        its own projection.
+        """
+        wait = max(0.0, self.cluster.earliest_free_s - at)
+        faults = self._faults
+        capacity = (float(max(1, self.cluster.n_active)) if faults is None
+                    else faults.capacity(self.cluster))
         est = self._estimate
-        own_backlog = 0.0
-        own_pending = False
-        per = self._tenant_pending.get(tenant.name)
-        if per:
-            for pipeline, count in per.items():
+        pending = self._pending
+        tenants = pending.tenant_counts
+        if tenants is None:
+            counts = pending.counts
+            pipeline = request.pipeline
+            same = counts.get(pipeline, 0) * est(pipeline)
+            other = 0.0
+            for queued_pipeline, count in counts.items():
+                if queued_pipeline != pipeline and count:
+                    other += count * est(queued_pipeline)
+            wait = wait + same + other / capacity
+        else:
+            tenant = request.tenant
+            own_backlog = 0.0
+            own_pending = False
+            for pipeline, count in tenants.get(tenant.name, {}).items():
                 if count:
                     own_backlog += count * est(pipeline)
                     own_pending = True
-        total_weight = 0.0 if own_pending else tenant.weight
-        for name, weight in self._tenant_weight.items():
-            counts = self._tenant_pending.get(name)
-            if counts and any(counts.values()):
-                total_weight += weight
-        share = tenant.weight / total_weight
-        capacity = self._fleet_capacity() * share
-        wait = wait + own_backlog / capacity
+            total_weight = 0.0 if own_pending else tenant.weight
+            for name, weight in pending.tenant_weight.items():
+                if any(tenants[name].values()):
+                    total_weight += weight
+            wait = wait + own_backlog / (
+                capacity * (tenant.weight / total_weight))
         if self.async_compile:
             done = self._waiting_done_s.get(request.trace_key)
             if done is not None:
@@ -1046,19 +1298,6 @@ class EventEngine:
             elif request.trace_key not in self.cache:
                 wait = max(wait, self.latency_model.base_s)
         return wait
-
-    # -- tenant backlog counters (weighted admission's signal) ----------
-    def _tenant_add(self, request: RenderRequest) -> None:
-        tenant = request.tenant
-        per = self._tenant_pending.get(tenant.name)
-        if per is None:
-            per = self._tenant_pending[tenant.name] = {}
-            self._tenant_weight[tenant.name] = tenant.weight
-        per[request.pipeline] = per.get(request.pipeline, 0) + 1
-
-    def _tenant_remove(self, taken: Sequence[RenderRequest]) -> None:
-        for request in taken:
-            self._tenant_pending[request.tenant.name][request.pipeline] -= 1
 
     def _ingest(self, request: RenderRequest, now: float) -> None:
         """Admission decision, made at the request's arrival instant."""
@@ -1074,10 +1313,7 @@ class EventEngine:
         if admission is None:
             verdict = request
         else:
-            if self._tenant_aware:
-                projected = self._project_wait_weighted(request, at)
-            else:
-                projected = self._project_wait(request, at)
+            projected = self._project_wait(request, at)
             verdict = admission.admit(
                 request, at, projected, self._estimate(request.pipeline),
                 self._pending.n_pending,
@@ -1105,8 +1341,6 @@ class EventEngine:
         if self.async_compile:
             self._ingest_async(verdict, now)
         self._pending.push(verdict)
-        if self._tenant_aware:
-            self._tenant_add(verdict)
         if self.preempt and self._staged:
             self._maybe_preempt(verdict, now)
 
@@ -1138,12 +1372,7 @@ class EventEngine:
         del self._staged[victim.chip.chip_id]
         members = victim.batch.requests
         self.batcher.retract(victim.batch)
-        self._pending.restore(members)
-        if self._tenant_aware:
-            for member in members:
-                self._tenant_add(member)
-        if self._hedge is not None:
-            self._note_restored(members)
+        self._restore_members(members)
         for member in members:
             rid = member.request_id
             self._preempt_count[rid] = self._preempt_count.get(rid, 0) + 1
@@ -1158,34 +1387,31 @@ class EventEngine:
         """Demand-side cache traffic: hit, join an in-flight compile, or
         trigger a new compile job on the worker pool."""
         key = verdict.trace_key
+        rid = verdict.request_id
         prefetcher = self.prefetcher
         if prefetcher is not None:
             prefetcher.observe(key)
             self._prefetch_evicted.discard(key)
-        program = self.cache.lookup(key)
-        if program is not None:
-            self._ingest_hit[verdict.request_id] = True
-            if prefetcher is not None and prefetcher.is_unused(key):
-                prefetcher.note_use(key)
-                self._ingest_prefetched[verdict.request_id] = True
-                if self._obs is not None:
-                    self._obs.on_prefetch_hit(now, key)
-            return
-        self._ingest_hit[verdict.request_id] = False
-        if key in self._waiting_done_s:
-            # Join the in-flight compile (demand- or prefetch-triggered).
-            if prefetcher is not None and prefetcher.is_unused(key):
-                prefetcher.note_use(key)
-                self._ingest_prefetched[verdict.request_id] = True
-                if self._obs is not None:
-                    self._obs.on_prefetch_hit(now, key)
-        else:
+        hit = self.cache.lookup(key) is not None
+        # A hit or a joined in-flight compile (demand- or prefetch-
+        # triggered) may be the first use of a prefetch.
+        joins = hit or key in self._waiting_done_s
+        prefetched = False
+        if joins and prefetcher is not None and prefetcher.is_unused(key):
+            prefetcher.note_use(key)
+            prefetched = True
+            if self._obs is not None:
+                self._obs.on_prefetch_hit(now, key)
+        charge = None
+        if not joins:
             if prefetcher is not None:
                 prefetcher.note_demand_compile(key)
-            latency = self._submit_compile(key, now, demand=True)
-            self._compile_charge[verdict.request_id] = latency
-        self._waiting_requests[key] = self._waiting_requests.get(key, 0) + 1
-        self._n_waiting += 1
+            charge = self._submit_compile(key, now, demand=True)
+        self._ingested[rid] = (hit, prefetched, charge)
+        if not hit:
+            self._waiting_requests[key] = (
+                self._waiting_requests.get(key, 0) + 1)
+            self._n_waiting += 1
 
     # -- batch execution -------------------------------------------------
     def _execute_batch(self, chip: ChipState, batch: Batch,
@@ -1208,6 +1434,7 @@ class EventEngine:
         chip_id = chip.chip_id
         batch_id = batch.batch_id
         async_mode = self.async_compile
+        ingested = self._ingested
         preempt_mode = self.preempt
         responses = self._responses
         feed = self.autoscaler is not None
@@ -1215,12 +1442,13 @@ class EventEngine:
         est = self._est_by_pipeline
         obs = self._obs
         faults = self._faults
-        hedge_mode = self._hedge is not None
+        hedging = self._hedging
         latency_model = self.latency_model
         requests = batch.requests
         crash = None
         if faults is not None:
-            crash = faults.next_crash(chip_id, dispatched_s)
+            plan = faults.plan
+            crash = plan.next_crash(chip_id, dispatched_s)
         # Chip counters accumulate in locals, frame by frame in the same
         # order, and are written back once.
         served = chip.requests_served
@@ -1238,9 +1466,8 @@ class EventEngine:
             origin = None
             prefetched = False
             if async_mode:
-                cache_hit = self._ingest_hit.get(rid, False)
-                prefetched = self._ingest_prefetched.get(rid, False)
-                charge = self._compile_charge.get(rid)
+                cache_hit, prefetched, charge = ingested.get(
+                    rid, _NOT_INGESTED)
                 if charge is not None:
                     compile_s = charge
                     origin = "worker"
@@ -1261,7 +1488,7 @@ class EventEngine:
                     # stalls on the chip for the simulated compile time.
                     compile_wait = cache.compile_cost_s(key)
                     if faults is not None:
-                        compile_wait *= faults.compile_dilation(t)
+                        compile_wait *= plan.compile_dilation(t)
                     compile_s = compile_wait
                     origin = "sync"
             cycles, reconfig_cycles, energy_j = cost.price(
@@ -1277,33 +1504,30 @@ class EventEngine:
             requeues = 0
             rollback = 0.0
             if faults is not None:
-                dilation = faults.dilation(chip_id, t)
+                dilation = plan.dilation(chip_id, t)
                 if dilation != 1.0:
                     service *= dilation
-                requeues = self._requeue_count.get(rid, 0)
+                requeues = faults.requeues.get(rid, 0)
                 if requeues:
                     # A crash already ate one attempt: this retry first
                     # restores the frame's last checkpoint.
-                    rollback = faults.rollback_s
-                speed = self._chip_speed
+                    rollback = plan.rollback_s
+                speed = faults.speed
                 prior_speed = speed.get(chip_id, 1.0)
                 speed[chip_id] = prior_speed + _SPEED_EWMA_ALPHA * (
                     dilation - prior_speed)
             finish = t + compile_wait + rollback + service
 
             if crash is not None and finish > crash.at_s:
-                self._abort_crash(chip, requests[index:], crash,
-                                  t, start_s)
+                faults.abort(chip, requests[index:], crash, t, start_s)
                 aborted = True
                 break
             # -- the frame commits: settle its dispatch bookkeeping.
             if rollback:
-                self._rollback_charged_s += rollback
-                self._requeue_count.pop(rid, None)
+                faults.rollback_s += rollback
+                faults.requeues.pop(rid, None)
             if async_mode:
-                self._ingest_hit.pop(rid, None)
-                self._ingest_prefetched.pop(rid, None)
-                self._compile_charge.pop(rid, None)
+                ingested.pop(rid, None)
                 cache.touch(key)
 
             preemptions = 0
@@ -1322,30 +1546,27 @@ class EventEngine:
             reconfig_total += reconfig_cycles
             energy_total += energy_j
             span = finish - t
-            hstate = None
-            orig_id = rid
-            if hedge_mode:
-                orig_id = self._hedge_of.get(rid, rid)
-                hstate = self._hedge_state.get(orig_id)
-            if hstate is not None:
+            pair = hedging.pairs.get(rid) if hedging is not None else None
+            if pair is not None:
                 # One copy of a hedged pair: the chip really spends the
                 # cycles, but the response waits for the settle event.
-                if hstate["settled"]:
+                if pair.settled:
                     # Late duplicate: it sat staged while its sibling
                     # settled. Pure wasted work, no second response.
-                    self.n_hedge_wasted += 1
-                    self._hedge_wasted_s += span
+                    hedging.n_wasted += 1
+                    hedging.wasted_s += span
                     chip.lost_work_s += span
                 else:
+                    original = pair.original
                     response = RenderResponse(
-                        hstate["requests"][orig_id], chip_id, batch_id, t,
-                        finish, cycles, switch, reconfig_cycles, energy_j,
-                        cache_hit, compile_s, origin, prefetched,
-                        dispatched_s, preemptions, migrated, requeues,
-                        rid != orig_id)
-                    hstate["chips"][rid] = chip_id
-                    hstate["candidates"].append((rid, response, chip))
-                    self._push(finish, _HEDGE_SETTLE, orig_id)
+                        original, chip_id, batch_id, t, finish, cycles,
+                        switch, reconfig_cycles, energy_j, cache_hit,
+                        compile_s, origin, prefetched, dispatched_s,
+                        preemptions, migrated, requeues,
+                        rid != original.request_id)
+                    pair.chips[rid] = chip_id
+                    pair.candidates.append((rid, response, chip))
+                    self._push(finish, _HEDGE_SETTLE, original.request_id)
                 t = finish
                 continue
             # Positional, in RenderResponse field order (hot path).
@@ -1379,69 +1600,36 @@ class EventEngine:
                     (finish, self._inflight_seq, response.slo_met),
                 )
                 self._inflight_seq += 1
-            if hedge_mode:
-                self._note_wait(response.queue_s)
+            if hedging is not None:
+                hedging.note_wait(response.queue_s)
 
         chip.requests_served = served
         chip.frame_cycles = frame_cycles
         chip.switch_cycles = switch_cycles
         chip.frame_reconfig_cycles = reconfig_total
         chip.energy_j = energy_total
-        if aborted:
-            if obs is not None:
-                obs.on_batch(start_s, max(start_s, crash.at_s), chip_id,
-                             batch_id, len(requests),
-                             batch.pipeline, requests[0].tenant.tier)
-            return
         if obs is not None:
-            obs.on_batch(start_s, t, chip_id, batch_id,
-                         len(requests), batch.pipeline,
+            obs.on_batch(start_s, max(start_s, crash.at_s) if aborted else t,
+                         chip_id, batch_id, len(requests), batch.pipeline,
                          requests[0].tenant.tier)
+        if aborted:
+            return
         chip.busy_s += t - start_s
         chip.free_at_s = t
         self._push(t, _CHIP_FREE, chip_id)
 
-    # -- chaos: crash handling -------------------------------------------
-    def _abort_crash(self, chip: ChipState, members: Sequence[RenderRequest],
-                     crash, frame_start_s: float, batch_start_s: float) -> None:
-        """The chip dies mid-batch: charge the truncated timeline.
-
-        Chip time up to the crash instant counts as busy; the partial
-        frame's share of it is lost work. The un-run members (partial
-        frame included) go to crash limbo — the crash *event* re-queues
-        them, so the scheduler cannot clairvoyantly react before the
-        failure actually happens. The chip stays unselectable until its
-        recovery (``free_at_s`` = recover instant, or forever).
-        """
-        chip.busy_s += max(0.0, crash.at_s - batch_start_s)
-        chip.lost_work_s += max(0.0, crash.at_s - frame_start_s)
-        chip.free_at_s = max(chip.free_at_s, crash.recover_at_s)
-        self._crash_limbo.setdefault(chip.chip_id, []).extend(members)
-
+    # -- chaos: crashes and hedge settles ---------------------------------
     def _restore_members(self, members: Sequence[RenderRequest]) -> None:
         """Put one batch's members (single pipeline) back in pending."""
         self._pending.restore(members)
-        if self._tenant_aware:
-            for member in members:
-                self._tenant_add(member)
-        if self._hedge is not None:
-            self._note_restored(members)
+        if self._hedging is not None:
+            self._hedging.note_restored(members)
 
     def _on_crash(self, now: float, crash) -> None:
         """A chip fails: mark it down and re-queue whatever it held."""
-        chips = self.cluster.chips
-        if crash.chip_id >= len(chips):
-            return  # the plan names a chip this fleet never had
-        chip = chips[crash.chip_id]
-        if not chip.active or chip.down_since_s is not None:
-            return  # retired or already down: the crash is a no-op
-        chip.down_since_s = now
-        chip.n_crashes += 1
-        chip.free_at_s = max(chip.free_at_s, crash.recover_at_s)
-        self._down_chips.add(chip.chip_id)
-        self._fault_counts["crashes"] += 1
-        if crash.down_s is None:
-            self._fault_counts["permanent"] += 1
+        chip = self._faults.take_down(self.cluster, now, crash)
+        if chip is None:
+            return
         n_requeued = 0
         staged = self._staged.pop(chip.chip_id, None)
         if staged is not None:
@@ -1450,295 +1638,87 @@ class EventEngine:
             self.batcher.retract(staged.batch)
             self._restore_members(staged.batch.requests)
             n_requeued += len(staged.batch.requests)
-        limbo = self._crash_limbo.pop(chip.chip_id, None)
+        limbo = self._faults.take_limbo(chip.chip_id)
         if limbo:
-            for member in limbo:
-                rid = member.request_id
-                self._requeue_count[rid] = self._requeue_count.get(rid, 0) + 1
             self._restore_members(limbo)
-            self._fault_counts["requeued"] += len(limbo)
             n_requeued += len(limbo)
         if self._obs is not None:
             self._obs.on_crash(now, chip.chip_id, crash.down_s, n_requeued)
 
     def _on_recover(self, now: float, crash) -> None:
-        chips = self.cluster.chips
-        if crash.chip_id >= len(chips):
-            return
-        chip = chips[crash.chip_id]
-        if chip.down_since_s is None:
-            return  # the matching crash never took effect
-        chip.down_s += now - chip.down_since_s
-        chip.down_since_s = None
-        self._down_chips.discard(chip.chip_id)
-        self._fault_counts["recoveries"] += 1
-        self._recovery_total_s += now - crash.at_s
-        if self._obs is not None:
+        chip = self._faults.bring_up(self.cluster, now, crash)
+        if chip is not None and self._obs is not None:
             self._obs.on_recover(now, chip.chip_id, now - crash.at_s)
 
     def _fail_pending(self, now: float) -> None:
         """Every chip is gone for good and admitted work remains: drain
         it into failed-unrecoverable records (a hedged pair fails once,
         as its original), keeping the conservation ledger closed."""
-        pending = self._pending
-        gone = pending._gone_master
+        pairs = self._hedging.pairs if self._hedging is not None else {}
         seen: set[int] = set()
         stranded: list[RenderRequest] = []
-        for tier in pending._tiers:
-            for request in pending.masters[tier]:
-                rid = request.request_id
-                if rid in gone:
-                    continue
-                orig_id = self._hedge_of.get(rid, rid) if (
-                    self._hedge is not None) else rid
-                if orig_id in seen:
-                    continue
-                seen.add(orig_id)
-                original = request
-                if orig_id != rid:
-                    original = self._hedge_state[orig_id]["requests"][orig_id]
+        for request in self._pending.live():
+            pair = pairs.get(request.request_id)
+            original = pair.original if pair is not None else request
+            if original.request_id not in seen:
+                seen.add(original.request_id)
                 stranded.append(original)
-        stranded.sort(key=lambda r: (r.arrival_s, r.request_id))
+        stranded.sort(key=_arrival_order)
         for request in stranded:
             self._failed.append(FailedRecord(request, now, "fleet-lost"))
 
-    # -- chaos: request hedging ------------------------------------------
-    def _note_wait(self, wait_s: float) -> None:
-        self._hedge_waits.append(wait_s)
-        self._n_wait_samples += 1
-
-    def _hedge_threshold(self) -> Optional[float]:
-        """Quantile-derived queue-age threshold (None while warming up).
-
-        Recomputed lazily from the sliding sample window — at most once
-        per 8 new samples, so the sort stays off the hot path.
-        """
-        policy = self._hedge
-        n = self._n_wait_samples
-        if n < policy.min_samples:
-            return None
-        if (self._hedge_threshold_cache is None
-                or n - self._hedge_cached_at >= 8):
-            ordered = sorted(self._hedge_waits)
-            idx = min(len(ordered) - 1, int(policy.quantile * len(ordered)))
-            self._hedge_threshold_cache = policy.multiplier * ordered[idx]
-            self._hedge_cached_at = n
-        return self._hedge_threshold_cache
-
-    def _maybe_hedge(self, now: float) -> None:
-        """Duplicate queued requests whose age crossed the threshold.
-
-        The clone goes back through the pending index (so dispatch
-        places it like any other request, on a *different* chip via the
-        selection mask); whichever copy finishes first wins at settle.
-        """
-        threshold = self._hedge_threshold()
-        if threshold is None:
-            return
-        if sum(1 for chip in self.cluster.chips if chip.available) < 2:
-            return  # a duplicate on the same chip helps nobody
-        pending = self._pending
-        gone = pending._gone_master
-        victims: list[RenderRequest] = []
-        for tier in pending._tiers:
-            for request in pending.masters[tier]:
-                rid = request.request_id
-                if rid in gone:
-                    continue
-                if now - request.arrival_s <= threshold:
-                    break  # master lanes are arrival-ordered
-                if rid < 0 or rid in self._hedge_state:
-                    continue  # a clone, or already hedged
-                if not self._is_ready(request):
-                    continue
-                victims.append(request)
-        # Issue after the walk: restore() rebuilds the deque under us.
-        for request in victims:
-            self._issue_hedge(request, now)
-
-    def _issue_hedge(self, request: RenderRequest, now: float) -> None:
-        orig_id = request.request_id
-        clone = replace(request, request_id=~orig_id)
-        self._hedge_state[orig_id] = {
-            "requests": {orig_id: request, clone.request_id: clone},
-            "chips": {},
-            "candidates": [],
-            "settled": False,
-        }
-        self._hedge_of[clone.request_id] = orig_id
-        self._pending.restore([clone])
-        if self._tenant_aware:
-            self._tenant_add(clone)
-        self._hedge_queued[orig_id] = request
-        self._hedge_queued[clone.request_id] = clone
-        self.n_hedges += 1
-        if self._obs is not None:
-            self._obs.on_hedge(now, orig_id, now - request.arrival_s)
-
-    def _note_taken(self, taken: Sequence[RenderRequest]) -> None:
-        queued = self._hedge_queued
-        for request in taken:
-            queued.pop(request.request_id, None)
-
-    def _note_restored(self, members: Sequence[RenderRequest]) -> None:
-        """Re-queued members re-register as queued hedge copies — except
-        a copy whose pair already settled, which is cancelled on the
-        spot (its sibling's response is final; letting it re-queue
-        would strand a tombstone-less duplicate in pending)."""
-        for member in members:
-            rid = member.request_id
-            orig_id = self._hedge_of.get(rid, rid)
-            state = self._hedge_state.get(orig_id)
-            if state is None:
-                continue
-            if state["settled"]:
-                self._pending.cancel(member)
-                if self._tenant_aware:
-                    self._tenant_pending[member.tenant.name][
-                        member.pipeline] -= 1
-                self.n_hedge_cancelled += 1
-            else:
-                self._hedge_queued[rid] = member
-
-    def _split_hedge_pairs(
-            self, taken: list[RenderRequest]) -> list[RenderRequest]:
-        """Both copies of a pair in one batch defeats the hedge: keep
-        the first copy of each pair, put the rest straight back."""
-        seen: set[int] = set()
-        keep: list[RenderRequest] = []
-        put_back: list[RenderRequest] = []
-        for request in taken:
-            rid = request.request_id
-            orig_id = self._hedge_of.get(rid, rid)
-            if orig_id in self._hedge_state and orig_id in seen:
-                put_back.append(request)
-            else:
-                seen.add(orig_id)
-                keep.append(request)
-        if put_back:
-            self._restore_members(put_back)
-        return keep
-
-    def _feed_completion(self, response: RenderResponse) -> None:
-        """Logical-completion feeds for a settled hedge winner (the
-        mirror of the inline feeds on the unhedged path)."""
-        est = self._est_by_pipeline
-        pipeline = response.request.pipeline
-        prior = est.get(pipeline)
-        if prior is None:
-            est[pipeline] = response.service_s
-        else:
-            est[pipeline] = prior + _SERVICE_EWMA_ALPHA * (
-                response.service_s - prior)
+    def _on_settle(self, now: float, orig_id: int) -> None:
+        """A hedged pair's first finish: its winner is the one response
+        and takes the logical-completion feeds the unhedged path takes
+        inline in :meth:`_execute_batch`."""
+        won = self._hedging.settle(orig_id)
+        if won is None:
+            return  # already resolved at the first copy's finish
+        response, chip, clone_won = won
+        self._responses.append(response)
+        chip.requests_served += 1
+        pipeline, span = response.request.pipeline, response.service_s
+        prior = self._est_by_pipeline.get(pipeline)
+        self._est_by_pipeline[pipeline] = (
+            span if prior is None
+            else prior + _SERVICE_EWMA_ALPHA * (span - prior))
         if self._feed_forecast:
             mean = self._svc_ewma
-            self._svc_ewma = (
-                response.service_s if mean is None
-                else mean + _FORECAST_EWMA_ALPHA * (
-                    response.service_s - mean))
+            self._svc_ewma = (span if mean is None
+                              else mean + _FORECAST_EWMA_ALPHA * (span - mean))
         if self.autoscaler is not None:
             heapq.heappush(
                 self._inflight,
                 (response.finish_s, self._inflight_seq, response.slo_met))
             self._inflight_seq += 1
-        self._note_wait(response.queue_s)
-
-    def _on_settle(self, now: float, orig_id: int) -> None:
-        """First-completion-wins: the earliest-finishing copy becomes
-        the pair's one response; every other copy is wasted work and
-        any still-queued copy is cancelled."""
-        state = self._hedge_state.get(orig_id)
-        if state is None or state["settled"]:
-            return  # already resolved at the first copy's finish
-        state["settled"] = True
-        candidates = state["candidates"]
-        winner = min(
-            candidates,
-            key=lambda entry: (entry[1].finish_s,
-                               0 if entry[0] == orig_id else 1))
-        rid_w, response, chip = winner
-        self._responses.append(response)
-        chip.requests_served += 1
-        self._feed_completion(response)
-        if rid_w != orig_id:
-            self.n_hedge_wins += 1
-        for rid_l, loser, chip_l in candidates:
-            if rid_l == rid_w:
-                continue
-            self.n_hedge_wasted += 1
-            self._hedge_wasted_s += loser.service_s
-            chip_l.lost_work_s += loser.service_s
-        for copy_id in (orig_id, ~orig_id):
-            queued = self._hedge_queued.pop(copy_id, None)
-            if queued is not None:
-                self._pending.cancel(queued)
-                if self._tenant_aware:
-                    self._tenant_pending[queued.tenant.name][
-                        queued.pipeline] -= 1
-                self.n_hedge_cancelled += 1
+        self._hedging.note_wait(response.queue_s)
         if self._obs is not None:
             self._obs.on_hedge_settle(
-                now, orig_id, "clone" if rid_w != orig_id else "primary")
+                now, orig_id, "clone" if clone_won else "primary")
             self._obs.on_response(
                 response, self._obs.wants(response.request.request_id))
 
-    def _dispatch_exclude(self, members=None):
-        """Chip-id mask for selection: staged reservations (preempt),
-        down chips (faults), and — best effort — chips where a member's
-        hedge sibling ran, so the duplicate lands somewhere else."""
-        base = self._staged if self.preempt else None
-        if self._faults is None and self._hedge is None:
-            return base
-        merged: set[int] = set()
+    def _dispatch_exclude(self, members, base):
+        """Chaos chip-id mask for selection: the staged reservations in
+        ``base``, down chips (faults), and — best effort — chips where a
+        member's hedge sibling ran, so the duplicate lands elsewhere."""
+        hedging = self._hedging
+        active = self.cluster.active_chips
+        merged = {chip.chip_id for chip in active
+                  if chip.down_since_s is not None}
         if base:
             merged.update(base)
-        if self._down_chips:
-            merged.update(self._down_chips)
-        if self._hedge is not None and members:
-            avoid: set[int] = set()
-            for request in members:
-                rid = request.request_id
-                state = self._hedge_state.get(self._hedge_of.get(rid, rid))
-                if state is not None:
-                    sibling_chip = state["chips"].get(~rid)
-                    if sibling_chip is not None:
-                        avoid.add(sibling_chip)
+        if hedging is not None and members:
+            avoid = hedging.sibling_chips(members)
             if avoid:
                 widened = merged | avoid
-                if any(chip.active and chip.chip_id not in widened
-                       for chip in self.cluster.chips):
+                if any(chip.chip_id not in widened for chip in active):
                     merged = widened  # only avoid siblings if a chip is left
         if not merged:
             return base
-        if not any(chip.active and chip.chip_id not in merged
-                   for chip in self.cluster.chips):
+        if not any(chip.chip_id not in merged for chip in active):
             return base  # never mask the whole fleet
         return merged
-
-    def _fault_stats_dict(self) -> dict:
-        counts = self._fault_counts
-        recoveries = counts["recoveries"]
-        return {
-            "n_crashes": counts["crashes"],
-            "n_permanent": counts["permanent"],
-            "n_recoveries": recoveries,
-            "n_requeued": counts["requeued"],
-            "n_failed": len(self._failed),
-            "lost_work_s": sum(c.lost_work_s for c in self.cluster.chips),
-            "rollback_s": self._rollback_charged_s,
-            "mean_recovery_s": (self._recovery_total_s / recoveries
-                                if recoveries else None),
-        }
-
-    def _hedge_stats_dict(self) -> dict:
-        return {
-            "policy": self._hedge.to_dict(),
-            "n_hedged": self.n_hedges,
-            "n_wins": self.n_hedge_wins,
-            "n_wasted": self.n_hedge_wasted,
-            "n_cancelled": self.n_hedge_cancelled,
-            "wasted_work_s": self._hedge_wasted_s,
-        }
 
     # -- dispatch --------------------------------------------------------
     def _flush_staged(self, now: float) -> None:
@@ -1758,33 +1738,41 @@ class EventEngine:
                                 max(now, chip.free_at_s),
                                 staged.dispatched_s)
 
+    def _form_batch(self, now: float, is_ready):
+        """Anchor, take, split hedge pairs, stamp and place one batch:
+        ``(batch, chip)``, or None when no pending request is ready."""
+        pending = self._pending
+        anchor = pending.anchor(is_ready)
+        if anchor is None:
+            return None
+        taken = pending.take(anchor, self.batcher.max_batch, is_ready)
+        hedging = self._hedging
+        if hedging is not None:
+            hedging.note_taken(taken)
+            if len(taken) > 1:
+                taken = hedging.split_pairs(taken)
+        batch = self.batcher.make_batch(anchor.pipeline, taken)
+        exclude = self._staged if self.preempt else None
+        if self._faults is not None or hedging is not None:
+            exclude = self._dispatch_exclude(taken, exclude)
+        chip = self.cluster.select_chip(
+            batch, now, self._estimate(batch.pipeline), exclude=exclude)
+        return batch, chip
+
     def _dispatch_all(self, now: float) -> None:
         """Place batches while ready work and an idle chip coexist."""
-        pending = self._pending
         cluster = self.cluster
-        batcher = self.batcher
         preempt = self.preempt
         if self._staged:
             self._flush_staged(now)
-        tenant_aware = self._tenant_aware
         is_ready = self._is_ready if self.async_compile else None
         while self._n_ready > 0 and cluster.has_idle_chip(now):
             if self.autoscaler is not None:
-                self._controller_tick(now, pending.n_pending)
-            anchor = pending.anchor(is_ready)
-            if anchor is None:
+                self._controller_tick(now, self._pending.n_pending)
+            formed = self._form_batch(now, is_ready)
+            if formed is None:
                 break
-            taken = pending.take(anchor, batcher.max_batch, is_ready)
-            if tenant_aware:
-                self._tenant_remove(taken)
-            if self._hedge is not None:
-                self._note_taken(taken)
-                if len(taken) > 1:
-                    taken = self._split_hedge_pairs(taken)
-            batch = batcher.make_batch(anchor.pipeline, taken)
-            chip = cluster.select_chip(
-                batch, now, self._estimate(batch.pipeline),
-                exclude=self._dispatch_exclude(taken))
+            batch, chip = formed
             start = max(now, chip.free_at_s)
             if preempt and start > now:
                 # The policy picked a busy chip (e.g. a warm
@@ -1808,32 +1796,18 @@ class EventEngine:
         up after an autoscale-up count as busy, which is exactly how
         displaced work migrates onto a newly grown chip.
         """
-        pending = self._pending
-        cluster = self.cluster
-        batcher = self.batcher
         staged = self._staged
-        down = self._down_chips
         is_ready = self._is_ready if self.async_compile else None
         while self._n_ready > 0:
             if not any(chip.chip_id not in staged
-                       and chip.chip_id not in down
+                       and chip.down_since_s is None
                        and chip.free_at_s > now
-                       for chip in cluster.active_chips):
+                       for chip in self.cluster.active_chips):
                 return
-            anchor = pending.anchor(is_ready)
-            if anchor is None:
+            formed = self._form_batch(now, is_ready)
+            if formed is None:
                 return
-            taken = pending.take(anchor, batcher.max_batch, is_ready)
-            if self._tenant_aware:
-                self._tenant_remove(taken)
-            if self._hedge is not None:
-                self._note_taken(taken)
-                if len(taken) > 1:
-                    taken = self._split_hedge_pairs(taken)
-            batch = batcher.make_batch(anchor.pipeline, taken)
-            chip = cluster.select_chip(
-                batch, now, self._estimate(batch.pipeline),
-                exclude=self._dispatch_exclude(taken))
+            batch, chip = formed
             staged[chip.chip_id] = _StagedBatch(
                 batch, chip, max(now, chip.free_at_s), now)
 
@@ -1849,7 +1823,7 @@ class EventEngine:
         return self._finalize(now)
 
     def _run_loop(self) -> float:
-        """The event loop, every feature armed.
+        """The engine's one event loop; every configuration runs here.
 
         Arrivals are consumed from their sorted list in timestamp
         batches and merged with the dynamic-event heap at each instant.
@@ -1863,7 +1837,8 @@ class EventEngine:
         hedging, observer, prefetch or preemption) ingests arrival
         windows in one pass: while every chip is busy and no dynamic
         event is due, an arrival instant's dispatch round is a no-op,
-        so skipping it changes nothing.
+        so skipping it changes nothing. Every other run pays one
+        ``None`` check per site for each feature it leaves off.
         """
         events = self._events
         pending = self._pending
@@ -1872,7 +1847,9 @@ class EventEngine:
         n = len(arrivals)
         i = 0
         now = 0.0
-        windowed = (self.autoscaler is None and self._hedge is None
+        hedging = self._hedging
+        is_ready = self._is_ready if self.async_compile else None
+        windowed = (self.autoscaler is None and hedging is None
                     and self._obs is None and self.prefetcher is None
                     and not self.preempt)
         cluster = self.cluster
@@ -1936,8 +1913,8 @@ class EventEngine:
                     # the controller still observes the queue building.
                     self._controller_tick(now, pending.n_pending)
                 self._issue_prefetches(now)
-            if self._hedge is not None and pending.n_pending > 0:
-                self._maybe_hedge(now)
+            if hedging is not None and pending.n_pending > 0:
+                hedging.maybe_hedge(now, cluster, is_ready)
             self._dispatch_all(now)
             if self._obs is not None:
                 self._obs.maybe_snapshot(now)
@@ -1964,6 +1941,13 @@ class EventEngine:
                 raise SimulationError(
                     f"event queue drained with {pending.n_pending} requests "
                     "still pending (engine bug)"
+                )
+        else:
+            stray = pending.stray_counts()
+            if stray:
+                raise SimulationError(
+                    f"backlog counters {stray} nonzero with nothing "
+                    "pending (engine bug)"
                 )
         if self._staged:
             raise SimulationError(
@@ -2032,10 +2016,11 @@ class EventEngine:
             preempt_enabled=self.preempt,
             n_preemption_events=self.n_preemptions,
             failed=list(self._failed),
-            fault_stats=(self._fault_stats_dict()
+            fault_stats=(self._faults.stats_dict(len(self._failed),
+                                                 self.cluster.chips)
                          if self._faults is not None else {}),
-            hedge_stats=(self._hedge_stats_dict()
-                         if self._hedge is not None else {}),
+            hedge_stats=(self._hedging.stats_dict()
+                         if self._hedging is not None else {}),
         )
         obs = self._obs
         if obs is not None:

@@ -275,7 +275,7 @@ class TraceCache:
         self._admit(key, program)
         return program, False
 
-    # Unused by the engine; kept for perfbench's get_many span (ROADMAP item 5).
+    # Unused by the engine; kept for perfbench's get_many span (ROADMAP item 6).
     def get_many(
         self, keys: Sequence[TraceKey]
     ) -> list[tuple[MicroOpProgram, bool, float]]:

@@ -303,21 +303,20 @@ class TestByteIdentity:
         assert check("eviction-storm").cache_stats["evictions"] > 0
 
 
-class TestFallbackStillMatches:
-    """The runs the loop gate used to send to the general loop (chaos,
-    hedging, weighted admission with preemption): the same bytes as
-    before the twin was deleted."""
+class TestChaosHedgePreemptDigests:
+    """Weighted admission with preemption, crashes, hedging and both
+    together: each report's pinned SHA-256."""
 
-    def test_preempt_mode_identical_across_flag(self):
+    def test_preempt_report_digest(self):
         assert check("preempt").preempt_enabled
 
-    def test_chaos_forces_scalar_and_matches(self):
+    def test_chaos_report_digest(self):
         assert check("chaos").fault_stats["n_crashes"] > 0
 
-    def test_hedge_forces_scalar_and_matches(self):
+    def test_hedge_report_digest(self):
         check("hedge")
 
-    def test_chaos_plus_hedge_identical_across_flag(self):
+    def test_chaos_plus_hedge_report_digest(self):
         check("chaos-hedge")
 
 

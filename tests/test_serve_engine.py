@@ -227,8 +227,8 @@ class TestWorkerPool:
         assert pool.stats.demand_jobs == 3
         assert pool.stats.busy_s == pytest.approx(3.0)
         assert pool.stats.demand_wait_s == pytest.approx(1.0)
-        assert not pool.idle_worker(0.5)
-        assert pool.idle_worker(1.0)
+        assert pool.idle_count(0.5) == 0
+        assert pool.idle_count(1.0) == 1   # the second worker; the first runs to 2.0
 
     def test_pool_validation(self):
         with pytest.raises(ConfigError):

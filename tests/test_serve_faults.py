@@ -31,7 +31,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve import (
+    Autoscaler,
     ChipCrash,
+    ChipState,
     CompileStall,
     FaultPlan,
     HedgePolicy,
@@ -39,6 +41,7 @@ from repro.serve import (
     ServeCluster,
     StragglerWindow,
     generate_traffic,
+    make_admission_policy,
     simulate_service,
 )
 from tests.test_serve_invariants import stub_cache
@@ -244,6 +247,51 @@ class TestFleetLoss:
         assert stats["n_crashes"] == 1
         assert stats["n_recoveries"] == 1
         assert stats["mean_recovery_s"] == pytest.approx(h * 0.3)
+
+
+class TestLongElasticHistory:
+    def test_availability_scans_read_only_the_active_fleet(self,
+                                                           monkeypatch):
+        # A flapping autoscaler retires hundreds of chips. Every
+        # availability scan (admission capacity, the hedge's two-chip
+        # check, the dispatch mask, the controller's n_available and
+        # idle list) must walk the active fleet, never the history: no
+        # ChipState.available call may land on a retired chip, and the
+        # calls stay within one per active chip per controller look.
+        trace = make_trace(seed=3, pattern="bursty", n_requests=4000,
+                           rate_rps=3000.0)
+        plan = FaultPlan.seeded(1, 2, horizon_of(trace), n_crashes=2,
+                                recover_fraction=1.0, n_stragglers=1)
+        scaler = Autoscaler(min_chips=1, max_chips=4,
+                            target_queue_per_chip=1.0, slo_target=0.95,
+                            window_s=0.005, warmup_s=0.0005, cooldown_s=0.0)
+        on_active: list[bool] = []
+        budget = [0]
+        available = ChipState.available.fget
+        observe = Autoscaler.observe
+
+        def spy_available(chip):
+            on_active.append(chip.active)
+            return available(chip)
+
+        def counting_observe(self, now, cluster, *args, **kwargs):
+            budget[0] += cluster.n_active
+            return observe(self, now, cluster, *args, **kwargs)
+
+        monkeypatch.setattr(ChipState, "available", property(spy_available))
+        monkeypatch.setattr(Autoscaler, "observe", counting_observe)
+        report = run_chaos(trace, faults=plan, hedge=HEDGE, n_chips=2,
+                           autoscaler=scaler,
+                           admission=make_admission_policy("slo-shed"))
+
+        retired = sum(1 for chip in report.chips if not chip.active)
+        assert retired >= 200, "the run must build a long fleet history"
+        assert report.fault_stats["n_crashes"] > 0
+        assert report.hedge_stats["n_hedged"] > 0
+        assert on_active and all(on_active), \
+            "an availability scan walked retired chips"
+        assert len(on_active) <= budget[0]
+        assert_chaos_invariants(report, trace, plan)
 
 
 class TestPlanSemantics:

@@ -28,6 +28,7 @@ from repro.serve import (
     FederationPlan,
     PipelineBatcher,
     ServeCluster,
+    TenantClass,
     TraceCache,
     format_federation_report,
     format_service_report,
@@ -342,6 +343,34 @@ class TestEngineLedger:
 
     def test_balanced_ledger_passes(self):
         assert static_run().n_offered == 400
+
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_stray_tenant_backlog_raises(self, observed):
+        # Weighted admission makes the pending index count each tenant's
+        # backlog; once nothing is pending, every count must be zero.
+        trace = generate_tenant_traffic(
+            [(TenantClass("premium", weight=4.0), 0.25),
+             (TenantClass("economy", slo_multiplier=2.0, tier=1), 0.75)],
+            pattern="bursty", n_requests=80, rate_rps=2000.0, seed=3,
+            scenes=("lego",), resolution=(64, 64), slo_s=0.02)
+        engine = EventEngine(trace, ServeCluster(2), cache=stub_cache(),
+                             admission=make_admission_policy("weighted"),
+                             preempt=True,
+                             observer=full_observer() if observed else None)
+        run_loop = engine._run_loop
+
+        def corrupted_loop():
+            now = run_loop()
+            counts = engine._pending.tenant_counts
+            assert counts and not any(
+                any(per.values()) for per in counts.values())
+            per = counts["economy"]
+            per[next(iter(per))] += 1
+            return now
+
+        engine._run_loop = corrupted_loop
+        with pytest.raises(SimulationError, match="backlog counters"):
+            engine.run()
 
 
 class TestPrefetchTerminates:
