@@ -5,7 +5,12 @@
 # every former columnar, chaos, hedge and preempt scenario),
 # observability (exporter byte identity, P² bit identity) and
 # probe-kernel bit-identity suites called out
-# explicitly, so they still run if testpaths ever change), pin the
+# explicitly, so they still run if testpaths ever change; the
+# tests/test_probe_kernels.py line also pins the frozen coefficient
+# table, src/repro/compile/coeff_table.py, against the live probe for
+# all 90 scene x pipeline pairs, and pins the table's bytes to its
+# writer — regenerate it with
+# `python -m repro.compile.measure --write-table`), pin the
 # event-engine perf-smoke floors
 # (single-tenant, the multi-tenant QoS path, both autoscaler modes,
 # the observer on/off floors, and the fault path), then smoke-run the

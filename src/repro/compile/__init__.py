@@ -9,8 +9,8 @@ workloads. Workloads combine:
   representation sizes of the paper's reference implementations
   (MobileNeRF / KiloNeRF / MeRF / Instant-NGP / 3DGS), and
 * **measured coefficients** (:mod:`repro.compile.measure`): dimensionless
-  per-scene statistics (ray occupancy, raster coverage, splat overlap)
-  probed from this package's functional renderers.
+  per-scene statistics (ray occupancy, raster coverage, splat overlap),
+  read from a table frozen from probes of the functional renderers.
 """
 
 from repro.compile.profiles import (

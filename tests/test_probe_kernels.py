@@ -6,22 +6,42 @@ The reference formulas below are the ones the kernels used before:
 ``np.linalg.norm`` / ``max`` over the 3-wide rows, ``(N, 3) - (3,)``
 broadcasts, the out-of-place clipped sigmoid, a 3-operand ``einsum``,
 and the ray-sample / occupancy-probe broadcasts against a 3-wide last
-axis. The ``measure_coeffs`` golden pins the probe coefficients
+axis. The ``probe_coeffs`` golden pins the probe coefficients
 as ``float.hex`` so a last-digit drift anywhere on the probe path fails
 here instead of passing the ``rel=1e-6`` serve goldens silently.
+
+Serving reads the frozen table in ``repro.compile.coeff_table``, never
+the probe; ``TestCoeffTable`` re-probes all of it and checks that the
+writer reproduces the committed file byte for byte.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.compile.measure import clear_measure_cache, measure_coeffs
+import repro
+from repro.compile.coeff_table import COEFF_TABLE
+from repro.compile.measure import (
+    TABLE_PATH,
+    clear_measure_cache,
+    measure_coeffs,
+    probe_coeffs,
+    probe_table,
+    write_coeff_table,
+)
+from repro.errors import SceneError
+from repro.renderers import PIPELINE_RENDERERS
 from repro.renderers.gaussian.pipeline import splat_power
 from repro.renderers.nerf.sampling import (
     OccupancyGrid,
     _uncontract,
     sample_along_rays,
 )
-from repro.scenes import contract_unbounded, get_scene
+from repro.scenes import contract_unbounded, get_scene, scene_names
 from repro.scenes.primitives import Box, Cylinder, FloorPlane, Sphere, Torus
 
 
@@ -437,7 +457,7 @@ class TestSplatKernel:
                               want)
 
 
-#: ``measure_coeffs`` for the serving defaults (lego/room x
+#: ``probe_coeffs`` for the serving defaults (lego/room x
 #: hashgrid/gaussian/mesh) and the other lego volume pipelines, frozen
 #: as ``float.hex`` from the reduction-form kernels.
 GOLDEN_COEFFS = {
@@ -491,23 +511,87 @@ class TestMeasureGolden:
         clear_measure_cache()
         for key, golden in GOLDEN_COEFFS.items():
             scene, pipeline = key.split("/")
-            coeffs = measure_coeffs(scene, pipeline)
+            coeffs = probe_coeffs(scene, pipeline)
             got = {k: float(v).hex() for k, v in sorted(coeffs.items())}
             assert got == golden, key
 
 
 class TestMeasureCache:
     def test_non_default_n_views_is_measured(self):
-        two = dict(measure_coeffs("lego", "mesh"))
-        cached_four = measure_coeffs("lego", "mesh", n_views=4)
+        two = probe_coeffs("lego", "mesh")
+        four = probe_coeffs("lego", "mesh", n_views=4)
         clear_measure_cache()
-        fresh_four = measure_coeffs("lego", "mesh", n_views=4)
-        assert cached_four == fresh_four
+        fresh_four = probe_coeffs("lego", "mesh", n_views=4)
+        assert four == fresh_four
         assert fresh_four != two
-        assert measure_coeffs("lego", "mesh") == two
+        assert probe_coeffs("lego", "mesh") == two
 
     def test_volume_probe_ignores_n_views(self):
         # The ray statistics always average three probe views.
-        two = dict(measure_coeffs("lego", "hashgrid"))
+        two = probe_coeffs("lego", "hashgrid")
         clear_measure_cache()
-        assert measure_coeffs("lego", "hashgrid", n_views=4) == two
+        assert probe_coeffs("lego", "hashgrid", n_views=4) == two
+
+
+@pytest.fixture(scope="module")
+def probed_table():
+    clear_measure_cache()
+    return probe_table()
+
+
+class TestCoeffTable:
+    """``measure_coeffs`` serves the frozen table; these tests hold the
+    table to the live probe."""
+
+    def test_table_matches_live_probe(self, probed_table):
+        pairs = {f"{s}/{p}" for s in scene_names() for p in PIPELINE_RENDERERS}
+        assert set(COEFF_TABLE) == pairs
+        for key, row in probed_table.items():
+            assert COEFF_TABLE[key] == row, key
+
+    # The fixture warms the probe's memos, so the writer's probe is quick.
+    @pytest.mark.usefixtures("probed_table")
+    def test_writer_reproduces_committed_table(self, tmp_path):
+        written = write_coeff_table(tmp_path / "coeff_table.py")
+        assert written.read_bytes() == TABLE_PATH.read_bytes()
+
+    def test_golden_entries_come_from_the_table(self):
+        for key, golden in GOLDEN_COEFFS.items():
+            coeffs = measure_coeffs(*key.split("/"))
+            assert {k: v.hex() for k, v in sorted(coeffs.items())} == golden, key
+
+    def test_returned_dict_is_fresh(self):
+        first = measure_coeffs("lego", "mesh")
+        want = dict(first)
+        first["coverage"] = -1.0
+        first["extra"] = 2.0
+        assert measure_coeffs("lego", "mesh") == want
+
+    def test_unknown_scene_and_pipeline_raise_like_the_probe(self):
+        for scene, pipeline in (("atlantis", "mesh"), ("lego", "raytracing")):
+            with pytest.raises(SceneError) as probed:
+                probe_coeffs(scene, pipeline)
+            with pytest.raises(SceneError) as served:
+                measure_coeffs(scene, pipeline)
+            assert str(served.value) == str(probed.value)
+
+
+def test_serving_imports_no_renderer():
+    # A fresh interpreter: this test session has the renderers loaded.
+    script = (
+        "import sys\n"
+        "import repro.serve, repro.cli\n"
+        "from repro.compile import compile_program\n"
+        "for scene in ('lego', 'room'):\n"
+        "    for pipeline in ('hashgrid', 'gaussian', 'mesh'):\n"
+        "        compile_program(scene, pipeline, 640, 360)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.renderers', 'repro.nn'))))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
