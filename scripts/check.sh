@@ -10,7 +10,11 @@
 # table, src/repro/compile/coeff_table.py, against the live probe for
 # all 90 scene x pipeline pairs, and pins the table's bytes to its
 # writer — regenerate it with
-# `python -m repro.compile.measure --write-table`), pin the
+# `python -m repro.compile.measure --write-table`, which must run
+# without a runpy RuntimeWarning; the obs and durability lines also
+# pin the trace export's peak memory — at most 2.5x the text it
+# writes, under tracemalloc — and atomic_write_text's sliced write:
+# exact UTF-8 bytes, under half the text added at peak), pin the
 # event-engine perf-smoke floors
 # (single-tenant, the multi-tenant QoS path, both autoscaler modes,
 # the observer on/off floors, and the fault path), then smoke-run the

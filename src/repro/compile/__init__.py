@@ -13,27 +13,34 @@ workloads. Workloads combine:
   read from a table frozen from probes of the functional renderers.
 """
 
-from repro.compile.profiles import (
-    FULL_SCALE_PROFILES,
-    GaussianProfile,
-    MeshProfile,
-    VolumeProfile,
-    profile_for,
-)
-from repro.compile.measure import measure_coeffs, clear_measure_cache
-from repro.compile.compilers import (
-    COMPILERS,
-    compile_program,
-)
+from importlib import import_module
 
-__all__ = [
-    "FULL_SCALE_PROFILES",
-    "MeshProfile",
-    "VolumeProfile",
-    "GaussianProfile",
-    "profile_for",
-    "measure_coeffs",
-    "clear_measure_cache",
-    "COMPILERS",
-    "compile_program",
-]
+#: Public name -> submodule that defines it. The exports load on first
+#: use, so importing the package runs no submodule: ``python -m
+#: repro.compile.measure`` then executes ``measure`` exactly once, as
+#: ``__main__``, instead of after the package has already imported it.
+#: The first use loads every export, submodules in this order (the
+#: order of the eager imports this replaced).
+_EXPORTS = {
+    "FULL_SCALE_PROFILES": "profiles",
+    "MeshProfile": "profiles",
+    "VolumeProfile": "profiles",
+    "GaussianProfile": "profiles",
+    "profile_for": "profiles",
+    "measure_coeffs": "measure",
+    "clear_measure_cache": "measure",
+    "COMPILERS": "compilers",
+    "compile_program": "compilers",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module 'repro.compile' has no attribute {name!r}")
+    for export, module in _EXPORTS.items():
+        globals()[export] = getattr(
+            import_module(f"repro.compile.{module}"), export)
+    return globals()[name]

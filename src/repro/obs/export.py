@@ -101,6 +101,12 @@ def _json_string(cache: dict, text) -> str:
     return out
 
 
+#: Rows per chunk of :func:`chrome_trace_text`'s output: the rows of a
+#: chunk are joined as soon as it fills, so a full ring buffer lives as
+#: about a hundred chunk strings instead of one string per row.
+_CHUNK_ROWS = 4096
+
+
 def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
                       metrics=None) -> str:
     """Export events (plus an optional metrics timeline) as Chrome
@@ -117,13 +123,19 @@ def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
     :func:`_json_number`, and event args through ``json.dumps``. No
     intermediate dict per event is built, which is what makes exporting
     a full ring buffer plus a long metrics timeline cheap.
+
+    Every :data:`_CHUNK_ROWS` rows are joined into one chunk, and the
+    document prefix and tail ride on the first and last piece of a
+    single final join, so the finished text is never copied again: the
+    peak is the chunks plus the text, about twice the text.
     """
     events = tracer.events() if isinstance(tracer, Tracer) else list(tracer)
     dumps = json.dumps
     number = _json_number
     strings: dict[str, str] = {}    # name / cat -> JSON string literal
     tracks: dict[tuple[str, int], str] = {}   # -> ', "pid": P, "tid": T'
-    rows: list[str] = []
+    chunks: list[str] = []    # full chunks of _CHUNK_ROWS joined rows
+    rows: list[str] = []      # the chunk being filled
     for ts_s, dur_s, name, cat, track, args in sorted(
             events, key=itemgetter(0, 4, 2)):
         ids = tracks.get(track)
@@ -139,11 +151,14 @@ def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
             f', "cat": {strings.get(cat) or _json_string(strings, cat)}'
             f', "ts": {number(ts_s * 1e6)}{ids}{phase}'
             + (f', "args": {dumps(dict(args))}}}' if args else "}"))
+        if len(rows) == _CHUNK_ROWS:
+            chunks.append(", ".join(rows))
+            rows = []
     seen_tracks = set(tracks)
 
     if metrics is not None:
         heads: dict[str, str] = {}    # metric name -> row head
-        n_events = len(rows)
+        n_events = len(chunks) * _CHUNK_ROWS + len(rows)
         for snap in metrics.timeline:
             stamp = (f', "ts": {number(snap["t_s"] * 1e6)}, '
                      f'"pid": {TRACK_PIDS["fleet"]}, "tid": 0, '
@@ -154,7 +169,10 @@ def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
                 head = heads.get(name) or _json_string(heads, name)
                 rows.append(f'{{"name": {head}, "cat": "metrics", '
                             f'"ph": "C"{stamp}{number(value)}}}}}')
-        if len(rows) > n_events:
+                if len(rows) == _CHUNK_ROWS:
+                    chunks.append(", ".join(rows))
+                    rows = []
+        if len(chunks) * _CHUNK_ROWS + len(rows) > n_events:
             seen_tracks.add(("fleet", 0))
 
     metadata: list[str] = []
@@ -173,7 +191,15 @@ def chrome_trace_text(tracer: Tracer | Iterable[TraceEvent],
     tail = '], "displayTimeUnit": "ms"'
     if isinstance(tracer, Tracer):
         tail += ', "otherData": ' + dumps(tracer.to_dict())
-    return ('{"traceEvents": [' + ", ".join(metadata + rows) + tail + "}")
+    tail += "}"
+    pieces = metadata + chunks
+    if rows:
+        pieces.append(", ".join(rows))
+    if not pieces:
+        return '{"traceEvents": [' + tail
+    pieces[0] = '{"traceEvents": [' + pieces[0]
+    pieces[-1] += tail
+    return ", ".join(pieces)
 
 
 def chrome_trace(tracer: Tracer | Iterable[TraceEvent],

@@ -39,13 +39,21 @@ except ImportError:  # pragma: no cover - non-POSIX: best-effort locking
     fcntl = None
 
 
+#: Characters per ``write`` call of :func:`atomic_write_text`: the text
+#: is encoded one slice at a time, so no second full copy is ever held.
+_WRITE_SLICE = 1 << 20
+
+
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically; returns the path.
 
     The bytes are staged in a temporary file next to the target and
     renamed over it with ``os.replace``, so a crash at any instant
     leaves either the old artifact or the new one — never a truncated
-    hybrid. On failure the temporary file is removed.
+    hybrid. On failure the temporary file is removed. The text goes
+    out in :data:`_WRITE_SLICE`-character slices, so a large artifact
+    (a full Chrome trace) is never held twice, once as ``str`` and once
+    encoded.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -53,7 +61,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start:start + _WRITE_SLICE])
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -1,11 +1,14 @@
 """Keyed LRU cache of compiled micro-op programs.
 
-Compiling a frame (``compile_program``) renders probe frames to measure
-scene coefficients — milliseconds to seconds of work — while the
-compiled :class:`~repro.core.microops.MicroOpProgram` for a given
-(scene, pipeline, width, height) never changes. The service therefore
-keeps traces in an LRU cache so repeated requests skip compilation
-entirely; the hit/miss/eviction counters feed the serving report.
+Compiling a frame (``compile_program``) reads the scene coefficients
+from a frozen table and lowers the pipeline into a
+:class:`~repro.core.microops.MicroOpProgram`, which for a given
+(scene, pipeline, width, height) never changes. On the host that takes
+well under a millisecond; what the cache saves is the *simulated*
+compile latency each miss is charged (below), and its capacity bounds
+how many compiled programs stay in memory. Repeated requests skip
+compilation entirely; the hit/miss/eviction counters feed the serving
+report.
 
 Compile *cost* is two numbers with different jobs:
 

@@ -7,7 +7,8 @@ target directory, fsynced, and renamed over the target. These tests pin
 the guarantees that function (and the trace library's flock-guarded
 merge-on-save built on it) makes: a crash mid-save leaves the previous
 artifact intact, two concurrent writers lose neither's hits, and
-``save -> load -> save`` is byte-stable.
+``save -> load -> save`` is byte-stable. The write goes out in slices,
+so a large text is never held a second time as encoded bytes.
 
 Also here: the lifetime-hits regression (a trace hit and then evicted
 mid-run must not vanish from the library) and the ``from err`` chaining
@@ -18,13 +19,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.errors import ConfigError
-from repro.persist import atomic_write_text, locked
+from repro.persist import _WRITE_SLICE, atomic_write_text, locked
 from repro.serve import TraceCache, TraceLibrary, TraceRecord
 from repro.serve.cluster import parse_fleet_spec
 from repro.serve.traffic import parse_tenant_spec
@@ -81,6 +83,38 @@ class TestAtomicWrite:
             with locked(path):
                 atomic_write_text(path, text)
         assert path.read_text() == "b"
+
+    def test_large_write_adds_less_than_half_the_text(self, tmp_path):
+        # 8 MiB of text with two-byte UTF-8 characters on either side of
+        # every slice boundary: the file holds text.encode("utf-8"), and
+        # the write never holds a full encoded copy at once.
+        chars = ["x"] * (8 * _WRITE_SLICE)
+        for boundary in range(_WRITE_SLICE, len(chars), _WRITE_SLICE):
+            chars[boundary - 1] = chars[boundary] = "é"
+        text = "".join(chars)
+        del chars
+        path = tmp_path / "large.json"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            atomic_write_text(path, text)
+            added = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert added < len(text) / 2, added / len(text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("wide", ["é", "✓", "😀"])
+    def test_slices_split_no_character(self, wide, tmp_path):
+        # Two- to four-byte characters at every slice edge, and a text
+        # that ends inside its last slice.
+        n = 2 * _WRITE_SLICE + 3
+        text = "".join(wide if i % _WRITE_SLICE in (0, 1, _WRITE_SLICE - 1)
+                       else "a" for i in range(n))
+        path = tmp_path / "wide.txt"
+        atomic_write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,14 @@ The byte-identity classes pin the direct text serializer to the
 dict-building exporter it replaced (frozen below as
 ``_reference_chrome_trace``) and the CSV writer to a frozen copy
 (``_reference_metrics_csv``): every artifact byte must match, on an
-all-features observed run and on hand-built edge values.
+all-features observed run, on hand-built edge values, and on either
+side of every boundary of the serializer's row chunks. The memory class
+holds the export to about twice the text it writes (``tracemalloc``).
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from repro.obs import (
     summarize_chrome_trace,
     validate_chrome_trace,
 )
-from repro.obs.export import TRACK_PIDS
+from repro.obs.export import _CHUNK_ROWS, TRACK_PIDS
 from repro.serve import (
     FaultPlan,
     HedgePolicy,
@@ -45,6 +48,7 @@ from repro.serve import (
     TenantClass,
     TraceCache,
     generate_tenant_traffic,
+    generate_traffic,
     make_admission_policy,
     make_elastic_autoscaler,
     simulate_service,
@@ -503,3 +507,121 @@ class TestByteIdentityEdgeValues:
                   TraceEvent(0.3, None, 1.0, "c", ("chip", 0), None),
                   TraceEvent(0.4, None, "1", 1, ("chip", 0), None)]
         assert_same_bytes(events, None, tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Row chunks: byte identity on either side of every chunk boundary
+# ----------------------------------------------------------------------
+def event_tracer(n_rows: int) -> Tracer:
+    """``n_rows`` event rows: spans with args, bare spans and instants
+    on three tracks, so consecutive rows differ in shape."""
+    tracer = Tracer(capacity=max(n_rows, 1))
+    for i in range(n_rows):
+        t = i * 1e-5
+        if i % 3 == 0:
+            tracer.span(t, t + 2e-5, "batch hashgrid", "batch",
+                        ("chip", i % 2), {"size": i % 8, "tier": 0})
+        elif i % 3 == 1:
+            tracer.span(t, t + 1e-5, "compile mesh", "compile",
+                        ("worker", 0))
+        else:
+            tracer.instant(t, "arrival", "request", ("tier", 1),
+                           {"request_id": i})
+    return tracer
+
+
+def counter_registry(n_rows: int) -> MetricsRegistry:
+    """A timeline that exports exactly ``n_rows`` counter rows, one
+    per snapshot."""
+    reg = MetricsRegistry()
+    arrivals = reg.counter("engine.arrivals")
+    for i in range(n_rows):
+        arrivals.inc()
+        reg.snapshot(i * 1e-4)
+    return reg
+
+
+_BOUNDARY_ROWS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("n_rows", _BOUNDARY_ROWS)
+    def test_event_rows_only(self, n_rows, tmp_path):
+        tracer = event_tracer(n_rows)
+        assert len(tracer) == n_rows
+        assert_same_bytes(tracer, None, tmp_path)
+        assert_same_bytes(tracer.events(), None, tmp_path)
+
+    @pytest.mark.parametrize("n_rows", _BOUNDARY_ROWS)
+    def test_counter_rows_only(self, n_rows, tmp_path):
+        reg = counter_registry(n_rows)
+        assert len(reg.timeline) == n_rows
+        assert_same_bytes(Tracer(), reg, tmp_path)
+        assert_same_bytes([], reg, tmp_path)
+
+    @pytest.mark.parametrize("n_events", [_CHUNK_ROWS - 2, _CHUNK_ROWS - 1,
+                                          _CHUNK_ROWS])
+    def test_chunk_straddles_events_and_counters(self, n_events, tmp_path):
+        # The chunk that fills up holds the last event rows and the
+        # first counter rows (or, at _CHUNK_ROWS, ends exactly between
+        # them).
+        reg = counter_registry(5)
+        assert_same_bytes(event_tracer(n_events), reg, tmp_path)
+
+    def test_no_events_and_no_metrics(self, tmp_path):
+        assert_same_bytes(Tracer(), None, tmp_path)
+        assert_same_bytes([], None, tmp_path)
+        assert chrome_trace_text([]) == (
+            '{"traceEvents": [], "displayTimeUnit": "ms"}')
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    def test_small_chunks_on_the_all_features_run(self, chunk_rows,
+                                                  monkeypatch, tmp_path):
+        # Every row boundary of a real run becomes a chunk boundary.
+        observer = all_features_observer()
+        monkeypatch.setattr("repro.obs.export._CHUNK_ROWS", chunk_rows)
+        assert_same_bytes(observer.tracer, observer.metrics, tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Export peak memory
+# ----------------------------------------------------------------------
+def observed_run(n_requests: int) -> Observer:
+    """A serve_observed-shaped run (mixed traffic, full tracer, metrics
+    and flight recorder, four chips) at a small resolution."""
+    trace = generate_traffic(
+        "mixed", n_requests=n_requests, rate_rps=280.0, seed=0,
+        scenes=("lego", "room"), pipelines=("hashgrid", "gaussian", "mesh"),
+        resolution=(64, 36))
+    observer = Observer(tracer=Tracer(capacity=65_536, sample=1.0),
+                        metrics=MetricsRegistry(), flight=FlightRecorder())
+    simulate_service(
+        trace,
+        ServeCluster(4, policy="pipeline-affinity"),
+        cache=TraceCache(capacity=64),
+        batcher=PipelineBatcher(max_batch=8),
+        observer=observer,
+    )
+    return observer
+
+
+class TestExportMemory:
+    def test_export_peak_is_at_most_two_and_a_half_texts(self, tmp_path):
+        # The rows live as joined chunks and the document is built by
+        # one join, so the peak is the chunks plus the text (~2x); one
+        # string per row, or a concatenation after the join, adds a
+        # further copy. The sliced write adds a slice, not a copy.
+        observer = observed_run(3_000)
+        path = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            save_chrome_trace(observer.tracer, path,
+                              metrics=observer.metrics)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(observer.tracer) > 2 * _CHUNK_ROWS
+        n_chars = path.stat().st_size     # the JSON text is ASCII
+        assert peak <= 2.5 * n_chars, peak / n_chars

@@ -595,3 +595,17 @@ def test_serving_imports_no_renderer():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_table_writer_runs_as_a_module_without_warning():
+    # ``python -m repro.compile.measure`` must execute the module once,
+    # as __main__: importing the package may not import it first.
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.compile.measure", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "--write-table" in proc.stdout
